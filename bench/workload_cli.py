@@ -1,9 +1,17 @@
 """cli: real `python -m slowprov.cli` processes, one after another.
 
-Per round, 29 calls across `ord`, `fgh`, `modal`, `iter` and `dev`, with and
-without `--json`; eight of them take seeded arguments whose answers follow
-from closed forms. Three calls fail today: `fgh eval 2 -- -3`, `fgh l -- -1`
-and `fgh cmpto 2 3 -- -1` under `--json` should exit 2 with one error record,
+Per round, 36 calls across `ord`, `fgh`, `modal`, `iter` and `dev`, with and
+without `--json`; ten of them take seeded arguments whose answers follow
+from closed forms or from the program's own oracles. Twenty-nine are light:
+interpreter start and import are nearly all of their time. Seven are heavy,
+each doing 0.3-0.6 s of work after start (2 cores, Python 3.11.7): a
+step-capped `eval_F(e0, 3)`, 200 oracle rounds, a `glt` countermodel search
+to size 4 and l(256). The heavy calls are a fifth of a round, so the 90th
+percentile falls among them, on work the program does, and not on the
+start-up jitter of the light calls.
+
+Three calls fail today: `fgh eval 2 -- -3`, `fgh l -- -1` and
+`fgh cmpto 2 3 -- -1` under `--json` should exit 2 with one error record,
 but end in an uncaught ValueError traceback. A call counts as failed when it
 exits with a code other than the documented 0, 2, 3 and 4.
 """
@@ -22,6 +30,9 @@ from harness import Failed, Op
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DOCUMENTED_EXITS = (0, 2, 3, 4)
+E0_STEPCAP = 7000           # step budget on which eval_F(e0, 3) stops
+ORACLE_COUNT = 200          # rounds of `dev oracles`, 7 checks each
+STRESS = "<.>p -> <.>true"  # valid in glt, so no countermodel up to size 4
 
 
 class Crash(Exception):
@@ -53,6 +64,7 @@ def generate(seed: int) -> list:
     ca = [rng.randint(1, 3) for _ in range(3)]
     cb = [rng.randint(1, 3) for _ in range(3)]
     wc, wn, k, s = rng.randint(2, 5), rng.randint(1, 3), rng.randint(2, 40), rng.randint(0, 999)
+    s2, s3 = rng.randint(0, 999), rng.randint(0, 999)
 
     def poly(c):
         return f"w^2*{c[0]}+w*{c[1]}+{c[2]}"
@@ -95,6 +107,18 @@ def generate(seed: int) -> list:
         (["--json", "fgh", "eval", "2", "--", "-3"], 2, ("json-error", 2)),
         (["--json", "fgh", "l", "--", "-1"], 2, ("json-error", 2)),
         (["--json", "fgh", "cmpto", "2", "3", "--", "-1"], 2, ("json-error", 2)),
+        # heavy calls
+        (["--stepcap", str(E0_STEPCAP), "fgh", "eval", "e0", "3"], 0, _text("BUDGET")),
+        (["--json", "--stepcap", str(E0_STEPCAP), "fgh", "eval", "e0", "3"], 0,
+         ("budget", E0_STEPCAP)),
+        (["--seed", str(s2), "dev", "oracles", "--count", str(ORACLE_COUNT)], 0,
+         _text(f"OK checked={7 * ORACLE_COUNT}")),
+        (["--json", "--seed", str(s3), "dev", "oracles", "--count", str(ORACLE_COUNT)], 0,
+         _record({"verdict": "OK", "checked": 7 * ORACLE_COUNT})),
+        (["--max-model-size", "4", "modal", "decide", "glt", STRESS], 0, ("valid", 4)),
+        (["--json", "--max-model-size", "4", "modal", "decide", "glt", STRESS], 0,
+         ("valid", 4)),
+        (["fgh", "l", "256"], 0, _text("2")),
     ]
     return calls
 
@@ -143,6 +167,9 @@ def _matches(want, out: str) -> bool:
     kind, value = want
     if kind == "text":
         return out == value + "\n"
+    if kind == "valid" and not out.startswith("{"):
+        # a valid formula: a theorem, or no countermodel up to the size bound
+        return out in ("THEOREM\n", f"INCONCLUSIVE bound={value}\n")
     rec = _json_lines(out)
     if rec is None:
         return False
@@ -152,6 +179,13 @@ def _matches(want, out: str) -> bool:
         return rec.get("verdict") == value
     if kind == "json-error":
         return rec.get("exit") == value and isinstance(rec.get("error"), str)
+    if kind == "valid":
+        return (rec.get("verdict") == "THEOREM"
+                or (rec.get("verdict") == "INCONCLUSIVE" and rec.get("max_model_size") == value))
+    if kind == "budget":
+        steps = rec.get("steps_used")
+        return (rec.get("verdict") == "BUDGET" and isinstance(steps, int)
+                and 0 < steps <= value)
     start, steps = value     # stepdown: the walk from start to 0 in `steps` steps
     path = rec.get("path", [])
     return (rec.get("verdict") == "REACHED" and rec.get("steps") == steps
