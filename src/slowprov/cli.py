@@ -272,6 +272,9 @@ def _emit_eval_result(cfg: GlobalConfig, res) -> int:
 
 
 def _cmd_fgh(cfg: GlobalConfig, ns) -> int:
+    for name in {"cmpto": ("n", "threshold"), "shift": ("x",)}.get(ns.sub, ("n",)):
+        if getattr(ns, name) < 0:
+            raise CliError(2, f"{name} must be nonnegative, got {getattr(ns, name)}")
     budget = cfg.budget()
     if ns.sub == "eval":
         return _emit_eval_result(cfg, eval_F(_parse_ord(ns.a), ns.n, budget))

@@ -1,19 +1,21 @@
 """Bounded decision procedures for the three systems.
 
-gl_decide enumerates tree-shaped countermodel candidates up to the small
-model bound (depth by modal depth, branching by the count of modal
-subformulas) and certifies validity by exhaustion. glt_decide and
-gl2_decide run proof search first, then walk model candidates in a fixed
-lexicographic order, so the countermodel reported is always the least one
-under that order. Past both bounds the honest answer is Inconclusive.
+All three share one countermodel search: size by size, the trees of
+`rooted_trees` (worlds w0, w1, ... in preorder); on each, the relations []
+reads (the tree order for gl, its two steps for gl2, every mixing-closed
+auxiliary relation for glt, the empty one first); on each, the valuations
+as one mask counted up from 0, bit i*size + j making the i-th variable by
+name true at w_j. The first countermodel met has the least size. gl_decide
+bounds tree height by the modal depth and outdegree by the count of modal
+subformulas, and certifies validity by exhaustion; glt_decide and
+gl2_decide run proof search first. Past the bounds the honest answer is
+Inconclusive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
-from ..oracles import enumerate_a_sound_extensions, enumerate_tree_frames
 from .formula import (
     Box,
     Diamond,
@@ -29,8 +31,12 @@ from .kripke import (
     GLT,
     KripkeModel,
     SemanticsMismatch,
-    eval_formula,
-    first_failing_world,
+    _compile,
+    _pairs,
+    _reflexive,
+    _relation,
+    _run,
+    _two_step,
 )
 from .prover import prove
 
@@ -60,138 +66,134 @@ class Inconclusive:
 DecisionOutcome = Theorem | Countermodel | Inconclusive
 
 
-# --- tree shape enumeration for the GL bound --------------------------------
+# --- rooted trees -----------------------------------------------------------
 
-def _shape_size(s) -> int:
-    return 1 + sum(_shape_size(c) for c in s)
+def rooted_trees(size: int, height: int | None = None, degree: int | None = None):
+    """Every rooted unlabeled tree on `size` nodes, once, as its level
+    sequence: the depth of each node in preorder, the root's 0 first.
 
+    Trees deeper than `height` or with more than `degree` children at a
+    node are never built. Subtrees come largest first, those of one size in
+    the order they are yielded, and trees in the order of their subtree
+    lists: the path first, the star last."""
+    if size < 1:
+        raise ValueError("size must be positive")
+    height = size - 1 if height is None else height
+    degree = size - 1 if degree is None else degree
+    trees = {}  # (size, level of the root) -> every such subtree, in order
 
-def _shape_key(s):
-    return (_shape_size(s), repr(s))
+    def forests(m, level, k, top, first):
+        # m nodes in at most k trees rooted at `level`, none ahead of the
+        # `first` tree of size `top`
+        if m == 0:
+            yield ()
+            return
+        room = sum(degree ** i for i in range(height - level + 1))  # nodes that fit
+        for s in range(min(m, top, room), 0, -1):
+            if s * k < m:
+                return
+            if (s, level) not in trees:
+                trees[s, level] = [(level,) + f
+                                   for f in forests(s - 1, level + 1, degree, s - 1, 0)]
+            ts = trees[s, level]
+            for j in range(first if s == top else 0, len(ts)):
+                for rest in forests(m - s, level, k - 1, s, j):
+                    yield ts[j] + rest
 
-
-def _shapes_to_depth(depth: int, branch: int, cap: int):
-    """All unordered tree shapes of depth <= depth, branching <= branch.
-
-    Returns (shapes sorted by size then structure, truncated flag). Level
-    d is built from level d-1 and always contains it, so the final level
-    alone covers every admissible shape.
-    """
-    level = [()]
-    truncated = False
-    for _ in range(depth):
-        seen = set(level)
-        for k in range(1, branch + 1):
-            for combo in combinations_with_replacement(level, k):
-                seen.add(tuple(sorted(combo, key=_shape_key)))
-                if len(seen) > cap:
-                    truncated = True
-                    break
-            if truncated:
-                break
-        level = sorted(seen, key=_shape_key)
-        if truncated:
-            break
-    return level, truncated
-
-
-def _shape_model_parts(shape):
-    names = []
-    pairs = []
-
-    def walk(s, ancestors):
-        name = f"w{len(names)}"
-        names.append(name)
-        for anc in ancestors:
-            pairs.append((anc, name))
-        ancestors.append(name)
-        for child in s:
-            walk(child, ancestors)
-        ancestors.pop()
-
-    walk(shape, [])
-    return tuple(names), tuple(pairs)
+    return ((0,) + f for f in forests(size - 1, 1, degree, size - 1, 0))
 
 
-def _valuation(vars_sorted, names, mask):
-    val = {}
-    bit = 0
-    for var in vars_sorted:
-        worlds = []
-        for w in names:
-            if mask >> bit & 1:
-                worlds.append(w)
-            bit += 1
-        val[var] = tuple(worlds)
-    return val
+def _below(levels) -> list:
+    """For each node of a level sequence, the nodes below it, root first."""
+    path, out = [], []
+    for i, depth in enumerate(levels):
+        del path[depth:]
+        out.append(tuple(path))
+        path.append(i)
+    return out
+
+
+def _thresholds(levels, below, t=(0,)):
+    """Every t with t[w] from t of the parent of w up to the depth of w, the
+    zero vector first: one per closed auxiliary relation (see _relation)."""
+    if len(t) == len(levels):
+        yield t
+        return
+    for v in range(t[below[len(t)][-1]], levels[len(t)] + 1):
+        yield from _thresholds(levels, below, t + (v,))
+
+
+def _search(a: Formula, reading, max_size, height=None, degree=None, guard=None):
+    """The first countermodel up to max_size worlds; else the count of models
+    checked, or Inconclusive at the last size done once guard would be passed."""
+    prog = _compile(a)
+    names = sorted(variables_of(a))
+    checked = 0
+    for size in range(1, max_size + 1):
+        worlds = tuple(f"w{i}" for i in range(size))
+        full = (1 << size) - 1
+        nvals = 1 << len(names) * size
+        for levels in rooted_trees(size, height, degree):
+            if guard is not None and checked + nvals > guard:
+                return Inconclusive(max_model_size=size - 1, max_proof_depth=0)
+            below = _below(levels)
+            tri = _relation(below, levels)
+            if reading == GLT:
+                relations = (_relation(below, t) for t in _thresholds(levels, below))
+            else:
+                relations = [tri if reading == GL else _two_step(tri)]
+            for box in relations:
+                # the witnesses of validation condition 5 for each GLT pair
+                witnesses = [box[x] & (1 << y | sum(1 << c for c in below[y]))
+                             for y in range(size) for x in below[y]
+                             if box[x] >> y & 1] if reading == GLT else ()
+                for v in range(nvals):
+                    checked += 1
+                    val = {name: v >> i * size & full for i, name in enumerate(names)}
+                    rows = _run(prog, full, val, None if reading == GL else tri, box)
+                    # only the root is tested: above any failing world is a
+                    # countermodel, smaller unless that world is the root
+                    if rows[-1] & 1:
+                        continue
+                    if witnesses:
+                        refl = _reflexive(rows, tri, full)
+                        if not all(wm & refl for wm in witnesses):
+                            continue
+                    truth = {name: [w for j, w in enumerate(worlds) if val[name] >> j & 1]
+                             for name in names}
+                    return Countermodel(KripkeModel(
+                        worlds, "w0", _pairs(worlds, tri),
+                        _pairs(worlds, box) if reading == GLT else (), truth), "w0")
+    return checked
+
+
+def _prove_or_search(a, reading, max_model_size, max_proof_depth):
+    proof = prove(a, reading, rounds=max_proof_depth)
+    if proof is not None:
+        return Theorem(proof)
+    out = _search(a, reading, max_model_size)
+    return Inconclusive(max_model_size, max_proof_depth) if isinstance(out, int) else out
 
 
 def gl_decide(a: Formula, combo_guard: int = 200_000) -> DecisionOutcome:
-    """Decide the box-only fragment by exhausting small tree models."""
+    """Decide the box-only fragment by exhausting small tree models, or
+    Inconclusive at the last size done once combo_guard would be passed."""
     if uses_triangle(a):
         raise SemanticsMismatch("gl_decide covers the box-only fragment")
     depth = modal_depth(a)
-    modal_heads = [f for f in subformulas(a) if isinstance(f, (Box, Diamond))]
-    branch = max(1, len(modal_heads))
-    vars_sorted = sorted(variables_of(a))
-    shapes, truncated = _shapes_to_depth(depth, branch, cap=20_000)
-    checked = 0
-    completed_size = 0
-    current_size = 0
-    for shape in shapes:
-        size = _shape_size(shape)
-        if size != current_size:
-            completed_size = current_size
-            current_size = size
-        names, prec = _shape_model_parts(shape)
-        nbits = len(vars_sorted) * size
-        if checked + (1 << nbits) > combo_guard:
-            return Inconclusive(max_model_size=completed_size, max_proof_depth=0)
-        for mask in range(1 << nbits):
-            checked += 1
-            m = KripkeModel(worlds=names, root=names[0], prec=prec,
-                            precR=(), val=_valuation(vars_sorted, names, mask))
-            if not eval_formula(m, names[0], a, GL):
-                return Countermodel(m, names[0])
-    if truncated:
-        return Inconclusive(max_model_size=current_size, max_proof_depth=0)
-    return Theorem(ValidOnAllEnumerated(checked))
+    branch = max(1, sum(isinstance(f, (Box, Diamond)) for f in subformulas(a)))
+    out = _search(a, GL, sum(branch ** i for i in range(depth + 1)),
+                  height=depth, degree=branch, guard=combo_guard)
+    return Theorem(ValidOnAllEnumerated(out)) if isinstance(out, int) else out
 
 
 def glt_decide(a: Formula, max_model_size: int = 5,
                max_proof_depth: int = 4) -> DecisionOutcome:
     """Proof search, then exhaustive A-sound countermodel search by size."""
-    proof = prove(a, GLT, rounds=max_proof_depth)
-    if proof is not None:
-        return Theorem(proof)
-    nvars = len(variables_of(a))
-    for size in range(1, max_model_size + 1):
-        for frame in enumerate_tree_frames(size):
-            for m in enumerate_a_sound_extensions(frame, a, nvars):
-                w = first_failing_world(m, a, GLT)
-                if w is not None:
-                    return Countermodel(m, w)
-    return Inconclusive(max_model_size=max_model_size,
-                        max_proof_depth=max_proof_depth)
+    return _prove_or_search(a, GLT, max_model_size, max_proof_depth)
 
 
 def gl2_decide(a: Formula, max_model_size: int = 5,
                max_proof_depth: int = 4) -> DecisionOutcome:
     """Proof search in GL(tri)+K box+collapse, then two-step model search."""
-    proof = prove(a, GL2, rounds=max_proof_depth)
-    if proof is not None:
-        return Theorem(proof)
-    vars_sorted = sorted(variables_of(a))
-    for size in range(1, max_model_size + 1):
-        for frame in enumerate_tree_frames(size):
-            names = frame.world_names()
-            prec = tuple((names[x], names[y]) for x, y in frame.ancestor_pairs())
-            nbits = len(vars_sorted) * size
-            for mask in range(1 << nbits):
-                m = KripkeModel(worlds=names, root=names[0], prec=prec,
-                                precR=(), val=_valuation(vars_sorted, names, mask))
-                w = first_failing_world(m, a, GL2)
-                if w is not None:
-                    return Countermodel(m, w)
-    return Inconclusive(max_model_size=max_model_size,
-                        max_proof_depth=max_proof_depth)
+    return _prove_or_search(a, GL2, max_model_size, max_proof_depth)

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .formula import (
+    BINARY,
+    UNARY,
     And,
     Bot,
     Box,
@@ -22,14 +25,12 @@ from .formula import (
     Formula,
     Iff,
     Implies,
-    Nabla,
     Not,
     Or,
     Top,
     Triangle,
     Var,
     subformulas,
-    uses_triangle,
     variables_of,
 )
 
@@ -111,21 +112,6 @@ class KripkeModel:
         return (f"KripkeModel(worlds={self.worlds!r}, root={self.root!r}, "
                 f"prec={self.prec!r}, precR={self.precR!r}, val={self.val!r})")
 
-    def successors(self, w, rel) -> tuple:
-        return tuple(b for a, b in rel if a == w)
-
-    def prec2(self) -> tuple:
-        """Two-step reachability in prec: a before c with something between."""
-        out = set()
-        for a, b in self.prec:
-            for c, d in self.prec:
-                if c == b:
-                    out.add((a, d))
-        return tuple(sorted(out))
-
-    def holds(self, var, w) -> bool:
-        return w in self.val.get(var, ())
-
 
 # --- validation -------------------------------------------------------------
 
@@ -182,94 +168,153 @@ def validate_model(m: KripkeModel, a: Formula):
             if x == d and (c, y) not in rs:
                 return Violation(4, f"({c}, {y}) missing")
     if rs:
-        tri = _succ_map(m.worlds, m.prec)
-        rows = _truth_rows(m, a, tri, _succ_map(m.worlds, m.precR))
+        idx, tri, box, val = _masks(m)
+        full = (1 << len(idx)) - 1
+        refl = _reflexive(_run(_compile(a), full, val, tri, box), tri, full)
         for x, y in sorted(rs):
-            if not any(_reflexive_witness(rows, tri, c) for c in m.worlds
-                       if (x, c) in rs and (c == y or (c, y) in ps)):
+            j = idx[y]
+            below = sum(1 << c for c, succ in enumerate(tri) if succ >> j & 1)
+            if not box[idx[x]] & (below | 1 << j) & refl:
                 return Violation(5, f"no reflexive witness for ({x}, {y})")
     return Ok()
 
 
-def _reflexive_witness(rows, tri, c) -> bool:
-    """Does [.]B -> B hold at c for every row of the subformula table?"""
-    for row in rows.values():
-        if all(row[v] for v in tri[c]) and not row[c]:
-            return False
-    return True
+# --- evaluation on world masks ----------------------------------------------
+#
+# Bit i of a mask stands for the i-th world; a relation is a list of
+# successor masks, one per world.
+
+# id(formula) -> (formula, program); holding the formula keeps its id unique
+_COMPILED = {}
 
 
-# --- evaluation -------------------------------------------------------------
+def _compile(a: Formula) -> tuple:
+    """a as (node type, x, y) steps, one per distinct subformula, a's own
+    last; x and y are the steps of its parts, or a variable's name."""
+    hit = _COMPILED.get(id(a))
+    if hit is not None and hit[0] is a:
+        return hit[1]
+    subs = subformulas(a)
+    step = {f: i for i, f in enumerate(subs)}
+    prog = []
+    for f in subs:
+        if isinstance(f, Var):
+            prog.append((Var, f.name, None))
+        elif isinstance(f, UNARY):
+            prog.append((type(f), step[f.body], None))
+        elif isinstance(f, BINARY):
+            prog.append((type(f), step[f.left], step[f.right]))
+        elif isinstance(f, (Top, Bot)):
+            prog.append((type(f), None, None))
+        else:
+            raise SemanticsMismatch(f"cannot evaluate {f!r}")
+    if len(_COMPILED) >= 256:
+        _COMPILED.clear()
+    _COMPILED[id(a)] = (a, tuple(prog))
+    return _COMPILED[id(a)][1]
 
-def _succ_map(worlds, rel) -> dict:
-    out = {w: [] for w in worlds}
-    for x, y in rel:
-        out[x].append(y)
+
+def _run(prog, full, val, tri, box) -> list:
+    """The mask of every program step. val maps variables to masks; tri
+    and box are the relations of [.] and [], tri None under GL."""
+    out = []
+    push = out.append
+    for op, x, y in prog:
+        if op is Var:
+            push(val.get(x, 0))
+        elif op is Implies:
+            push(full ^ out[x] | out[y])
+        elif op is Box:
+            push(_box(box, full ^ out[x]))
+        elif op is And:
+            push(out[x] & out[y])
+        elif op is Or:
+            push(out[x] | out[y])
+        elif op is Not:
+            push(full ^ out[x])
+        elif op is Iff:
+            push(full ^ out[x] ^ out[y])
+        elif op is Diamond:
+            push(full ^ _box(box, out[x]))
+        elif op is Top:
+            push(full)
+        elif op is Bot:
+            push(0)
+        elif tri is None:
+            raise SemanticsMismatch("the one-modality reading has no [.] or <.>")
+        elif op is Triangle:
+            push(_box(tri, full ^ out[x]))
+        else:
+            push(full ^ _box(tri, out[x]))
     return out
 
 
-def _truth_rows(m: KripkeModel, a: Formula, tri, box) -> dict:
-    """One {world: truth} row per distinct subformula, built bottom up.
-
-    tri and box are successor maps. Diamond and Nabla rows are the duals
-    of the Box and Triangle rows over the same successors.
-    """
-    rows = {}
-    for f in subformulas(a):
-        if isinstance(f, Bot):
-            row = {w: False for w in m.worlds}
-        elif isinstance(f, Top):
-            row = {w: True for w in m.worlds}
-        elif isinstance(f, Var):
-            have = set(m.val.get(f.name, ()))
-            row = {w: w in have for w in m.worlds}
-        elif isinstance(f, Not):
-            body = rows[f.body]
-            row = {w: not body[w] for w in m.worlds}
-        elif isinstance(f, And):
-            lt, rt = rows[f.left], rows[f.right]
-            row = {w: lt[w] and rt[w] for w in m.worlds}
-        elif isinstance(f, Or):
-            lt, rt = rows[f.left], rows[f.right]
-            row = {w: lt[w] or rt[w] for w in m.worlds}
-        elif isinstance(f, Implies):
-            lt, rt = rows[f.left], rows[f.right]
-            row = {w: (not lt[w]) or rt[w] for w in m.worlds}
-        elif isinstance(f, Iff):
-            lt, rt = rows[f.left], rows[f.right]
-            row = {w: lt[w] == rt[w] for w in m.worlds}
-        elif isinstance(f, Box):
-            body = rows[f.body]
-            row = {w: all(body[v] for v in box[w]) for w in m.worlds}
-        elif isinstance(f, Diamond):
-            body = rows[f.body]
-            row = {w: any(body[v] for v in box[w]) for w in m.worlds}
-        elif isinstance(f, Triangle):
-            body = rows[f.body]
-            row = {w: all(body[v] for v in tri[w]) for w in m.worlds}
-        elif isinstance(f, Nabla):
-            body = rows[f.body]
-            row = {w: any(body[v] for v in tri[w]) for w in m.worlds}
-        else:
-            raise SemanticsMismatch(f"cannot evaluate {f!r}")
-        rows[f] = row
-    return rows
+def _box(succ, bad) -> int:
+    """The worlds none of whose successors lies in bad."""
+    out = 0
+    bit = 1
+    for s in succ:
+        if not s & bad:
+            out |= bit
+        bit <<= 1
+    return out
 
 
-def _relations_for(m: KripkeModel, a: Formula, semantics: str):
-    if semantics == GL:
-        if uses_triangle(a):
-            raise SemanticsMismatch("the one-modality reading has no [.] or <.>")
-        return m.prec, m.prec
+def _two_step(succ) -> list:
+    return [reduce(int.__or__, (t for j, t in enumerate(succ) if s >> j & 1), 0)
+            for s in succ]
+
+
+def _reflexive(rows, tri, full) -> int:
+    """The worlds at which [.]B -> B holds for every row B."""
+    ok = full
+    for row in rows:
+        ok &= row | full ^ _box(tri, full ^ row)
+    return ok
+
+
+def _relation(below, t) -> list:
+    """The relation in which the worlds below w (below[w], root first) at
+    depth under t[w] see w; t the depths gives the tree order. Inside the
+    tree order, the relations closed under conditions 3 and 4 of
+    validate_model are exactly those with t nondecreasing up the tree."""
+    succ = [0] * len(below)
+    for w, chain in enumerate(below):
+        for x in chain[:t[w]]:
+            succ[x] |= 1 << w
+    return succ
+
+
+def _pairs(worlds, succ) -> list:
+    return [(worlds[x], worlds[y]) for x, s in enumerate(succ)
+            for y in range(len(worlds)) if s >> y & 1]
+
+
+def _masks(m: KripkeModel):
+    """m's world index, tree order, auxiliary relation and valuation."""
+    idx = {w: i for i, w in enumerate(m.worlds)}
+    tri, box = [0] * len(idx), [0] * len(idx)
+    for succ, rel in ((tri, m.prec), (box, m.precR)):
+        for x, y in rel:
+            succ[idx[x]] |= 1 << idx[y]
+    return idx, tri, box, {var: sum(1 << idx[w] for w in ws) for var, ws in m.val.items()}
+
+
+def _rows_for(m: KripkeModel, a: Formula, semantics: str) -> list:
+    """The masks of a's program on m under the chosen reading."""
     if semantics == GLT:
         verdict = validate_model(m, a)
         if not isinstance(verdict, Ok):
             raise SemanticsMismatch(
                 f"model fails condition {verdict.condition}: {verdict.detail}")
-        return m.prec, m.precR
-    if semantics == GL2:
-        return m.prec, m.prec2()
-    raise SemanticsMismatch(f"unknown semantics {semantics!r}")
+    idx, tri, box, val = _masks(m)
+    if semantics == GL:
+        tri, box = None, tri
+    elif semantics == GL2:
+        box = _two_step(tri)
+    elif semantics != GLT:
+        raise SemanticsMismatch(f"unknown semantics {semantics!r}")
+    return _run(_compile(a), (1 << len(idx)) - 1, val, tri, box)
 
 
 def eval_formula(m: KripkeModel, w, a: Formula, semantics: str) -> bool:
@@ -280,29 +325,20 @@ def eval_formula(m: KripkeModel, w, a: Formula, semantics: str) -> bool:
     relative to a. GL2: [.] over the tree order, [] over its two-step
     composition; the auxiliary relation is ignored.
     """
-    if w not in set(m.worlds):
+    if w not in m.worlds:
         raise ModelError(f"{w!r} is not a world")
-    return _rows_for(m, a, semantics)[a][w]
-
-
-def _rows_for(m: KripkeModel, a: Formula, semantics: str) -> dict:
-    tri_rel, box_rel = _relations_for(m, a, semantics)
-    return _truth_rows(m, a, _succ_map(m.worlds, tri_rel),
-                       _succ_map(m.worlds, box_rel))
+    return bool(_rows_for(m, a, semantics)[-1] >> m.worlds.index(w) & 1)
 
 
 def valid_on_model(m: KripkeModel, a: Formula, semantics: str) -> bool:
     """True at every world; validation and evaluation are shared across worlds."""
-    return all(_rows_for(m, a, semantics)[a].values())
+    return _rows_for(m, a, semantics)[-1] == (1 << len(m.worlds)) - 1
 
 
 def first_failing_world(m: KripkeModel, a: Formula, semantics: str):
     """The first world (in model order) where a fails, or None."""
-    row = _rows_for(m, a, semantics)[a]
-    for w in m.worlds:
-        if not row[w]:
-            return w
-    return None
+    bad = ~_rows_for(m, a, semantics)[-1] & ((1 << len(m.worlds)) - 1)
+    return m.worlds[(bad & -bad).bit_length() - 1] if bad else None
 
 
 # --- JSON-facing dict form --------------------------------------------------
@@ -349,48 +385,38 @@ def model_from_dict(d) -> KripkeModel:
 def random_a_sound_model(rng: random.Random, a: Formula, max_size: int = 8) -> KripkeModel:
     """A random tree model passing validation relative to a.
 
-    The frame is a uniform random parent vector; the auxiliary relation is a
-    random subset of the tree order closed under the two mixing conditions;
-    then every auxiliary pair gets its witness by forcing all variables of a
-    true on the upward cone of the pair's target. For formulas free of
-    negation and falsum (all the axiom instances the suite feeds in) every
-    subformula comes out true on such a cone, so the target itself is a
-    reflexive witness and validation passes.
+    The frame is a uniform random parent vector; the auxiliary relation is
+    the closure of a random subset of the tree order under the two mixing
+    conditions; then every auxiliary pair gets its witness by forcing all
+    variables of a true on the upward cone of the pair's target. For
+    formulas free of negation and falsum (all the axiom instances the suite
+    feeds in) every subformula comes out true on such a cone, so the target
+    itself is a reflexive witness and validation passes.
     """
     size = rng.randint(1, max_size)
     parents = tuple(rng.randrange(i) for i in range(1, size))
     names = tuple(f"w{i}" for i in range(size))
-    pairs = set()
-    for child in range(1, size):
-        anc = parents[child - 1]
-        while True:
-            pairs.add((names[anc], names[child]))
-            if anc == 0:
-                break
-            anc = parents[anc - 1]
-    prec = tuple(sorted(pairs))
-    base = [pq for pq in prec if rng.random() < 0.4]
-    rset = set(base)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in prec:
-            for c, d in list(rset):
-                if c == y and (x, d) not in rset:
-                    rset.add((x, d))
-                    changed = True
-                if x == d and (c, y) not in rset:
-                    rset.add((c, y))
-                    changed = True
+    idx = {w: i for i, w in enumerate(names)}
+    below = [()]
+    for p in parents:
+        below.append(below[p] + (p,))
+    tree = _relation(below, [len(chain) for chain in below])
+    prec = tuple(sorted(_pairs(names, tree)))
+    # the least thresholds (see _relation) whose relation holds the subset
+    t = [0] * size
+    for x, y in prec:
+        if rng.random() < 0.4:
+            t[idx[y]] = max(t[idx[y]], len(below[idx[x]]) + 1)
+    for w, p in enumerate(parents, start=1):
+        t[w] = max(t[w], t[p])
     vars_ = sorted(variables_of(a))
     val = {v: {w for w in names if rng.random() < 0.5} for v in vars_}
-    for _, y in rset:
-        cone = {y} | {d for c, d in prec if c == y}
-        for v in vars_:
-            val[v] |= cone
-    model = KripkeModel(worlds=names, root=names[0] if names else "w0",
-                        prec=prec, precR=tuple(sorted(rset)),
-                        val={v: tuple(sorted(ws)) for v, ws in val.items()})
+    for y in range(size):
+        if t[y]:
+            for v in vars_:
+                val[v] |= {names[y]} | {names[d] for d in range(size) if tree[y] >> d & 1}
+    model = KripkeModel(worlds=names, root=names[0], prec=prec,
+                        precR=_pairs(names, _relation(below, t)), val=val)
     verdict = validate_model(model, a)
     if not isinstance(verdict, Ok):
         raise ModelError(f"generator produced an invalid model: {verdict}")

@@ -205,7 +205,7 @@ def check_proof(p: ProofObject):
                 return ErrorAt(no, f"not an instance of {rule}")
             continue
         for ref in line.refs:
-            if not isinstance(ref, int) or not 1 <= ref < no:
+            if type(ref) is not int or not 1 <= ref < no:
                 return ErrorAt(no, f"reference {ref} is not an earlier line")
         if rule == "MP":
             if len(line.refs) != 2:
@@ -255,7 +255,7 @@ def proof_from_dict(d) -> ProofObject:
         if not isinstance(entry, dict) or "formula" not in entry or "rule" not in entry:
             raise ProofError(f"line {i} needs 'formula' and 'rule'")
         refs = entry.get("refs", [])
-        if not isinstance(refs, list) or not all(isinstance(r, int) for r in refs):
+        if not isinstance(refs, list) or not all(type(r) is int for r in refs):
             raise ProofError(f"line {i}: refs must be a list of integers")
         lines.append(ProofLine(parse_formula(entry["formula"]),
                                entry["rule"], tuple(refs)))

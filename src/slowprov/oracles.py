@@ -198,53 +198,34 @@ class TreeFrame:
         return tuple(sorted(pairs))
 
 
-class FrameIterator:
-    """Yields every labeled rooted tree of the given size exactly once.
+def enumerate_tree_frames(size: int):
+    """Every labeled rooted tree of the given size exactly once.
 
-    Order is parent-vector lexicographic, which fixes what "first
-    countermodel" means everywhere downstream.
+    Order is parent-vector lexicographic. The size is checked here, before
+    the first frame is asked for.
     """
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError("size must be positive")
-        self.size = size
-        self._gen = self._frames()
-
-    def _frames(self):
-        if self.size == 1:
-            yield TreeFrame(1, ())
-            return
-        for parents in product(range(self.size), repeat=self.size - 1):
-            ok = True
-            for child in range(1, self.size):
-                if parents[child - 1] == child:
-                    ok = False
-                    break
-                seen = {child}
-                a = parents[child - 1]
-                while a != 0:
-                    if a in seen:
-                        ok = False
-                        break
-                    seen.add(a)
-                    a = parents[a - 1]
-                if not ok:
-                    break
-            if ok:
-                yield TreeFrame(self.size, parents)
-
-    def __iter__(self):
-        return self._gen
-
-    def __next__(self):
-        return next(self._gen)
-
-
-def enumerate_tree_frames(size: int) -> FrameIterator:
+    if size < 1:
+        raise ValueError("size must be positive")
     if size > 8:
         raise ValueError("frame enumeration is only supported up to size 8")
-    return FrameIterator(size)
+    return _frames(size)
+
+
+def _frames(size: int):
+    for parents in product(range(size), repeat=size - 1):
+        if all(_reaches_root(parents, child) for child in range(1, size)):
+            yield TreeFrame(size, parents)
+
+
+def _reaches_root(parents, child) -> bool:
+    """Following parents up from child ends at node 0, not in a cycle."""
+    seen = set()
+    while child != 0:
+        if child in seen:
+            return False
+        seen.add(child)
+        child = parents[child - 1]
+    return True
 
 
 def enumerate_a_sound_extensions(frame: TreeFrame, a, var_limit: int):
@@ -261,29 +242,14 @@ def enumerate_a_sound_extensions(frame: TreeFrame, a, var_limit: int):
     names = frame.world_names()
     prec = tuple((names[x], names[y]) for x, y in frame.ancestor_pairs())
     vars_sorted = sorted(variables_of(a))[:var_limit]
-    npairs = len(prec)
-    nbits = len(vars_sorted) * frame.size
-    for rmask in range(1 << npairs):
+    for rmask in range(1 << len(prec)):
         precR = tuple(p for i, p in enumerate(prec) if rmask >> i & 1)
         if not _closed_under_mixing(frame, precR, names):
             continue
-        for vmask in range(1 << nbits):
-            val = {}
-            bit = 0
-            for var in vars_sorted:
-                worlds = []
-                for w in names:
-                    if vmask >> bit & 1:
-                        worlds.append(w)
-                    bit += 1
-                val[var] = tuple(worlds)
-            model = KripkeModel(
-                worlds=names,
-                root=names[0],
-                prec=prec,
-                precR=precR,
-                val=val,
-            )
+        for vmask in range(1 << len(vars_sorted) * frame.size):
+            val = {var: [w for j, w in enumerate(names) if vmask >> (i * frame.size + j) & 1]
+                   for i, var in enumerate(vars_sorted)}
+            model = KripkeModel(worlds=names, root=names[0], prec=prec, precR=precR, val=val)
             if isinstance(validate_model(model, a), Ok):
                 yield model
 

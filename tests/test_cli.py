@@ -246,6 +246,19 @@ class TestJsonMode:
         assert code == 2
         assert rec["exit"] == 2 and "bad ordinal" in rec["error"]
 
+    @pytest.mark.parametrize("args", [
+        ("eval", "2", "--", "-3"),
+        ("l", "--", "-1"),
+        ("r", "--", "-1"),
+        ("cmpto", "2", "--", "-3", "5"),
+        ("cmpto", "2", "3", "--", "-1"),
+        ("shift", "2", "--", "-3"),
+    ])
+    def test_negative_fgh_argument_is_exit_2(self, capsys, args):
+        code, rec = self.single_record(capsys, "fgh", *args)
+        assert code == 2
+        assert rec["exit"] == 2 and "must be nonnegative" in rec["error"]
+
     def test_stepdown_record(self, capsys):
         code, rec = self.single_record(capsys, "ord", "stepdown", "w", "2")
         assert rec == {"verdict": "REACHED", "steps": 4,

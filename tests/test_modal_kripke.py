@@ -110,7 +110,6 @@ def test_eval_unknown_world():
 
 
 def test_prec2_changes_box_reach():
-    assert CHAIN3.prec2() == (("a", "c"),)
     assert eval_formula(CHAIN3, "a", parse_formula("[]false"), GL2) is False
     assert eval_formula(CHAIN3, "b", parse_formula("[]false"), GL2) is True
 

@@ -74,6 +74,14 @@ class TestChecker:
         got = check_proof(ProofObject("S4", (line("p -> p", "Taut"),)))
         assert got.line == 0
 
+    def test_bool_reference_rejected(self):
+        p = ProofObject("GL", (
+            line("p -> p", "Taut"),
+            line("[.](p -> p)", "Nec_tri", True),
+        ))
+        got = check_proof(p)
+        assert got.line == 2 and "earlier line" in got.reason
+
     def test_forward_reference(self):
         p = ProofObject("GL", (line("[.]p", "Nec_tri", 1),))
         got = check_proof(p)
@@ -122,6 +130,8 @@ def test_dict_roundtrip():
     {"system": "GL", "lines": [{"formula": "p", "rule": "Taut", "refs": "1"}]},
     {"system": "GL", "lines": [], "junk": True},
     "not even a dict",
+    {"system": "GL", "lines": [{"formula": "p -> p", "rule": "Taut"},
+                               {"formula": "[.](p -> p)", "rule": "Nec_tri", "refs": [True]}]},
 ])
 def test_dict_rejects(doc):
     with pytest.raises(ProofError):
