@@ -455,8 +455,23 @@ def _cmd_dev(cfg: GlobalConfig, ns) -> int:
 # parser wiring
 
 
+class _UsageError(Exception):
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+        self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands usage errors to `main`, which reports them the way --json asks;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="slowprov",
         description="ordinal arithmetic, slow-growing provability functions, "
                     "bimodal deciders, and the iterated-operator calculus")
@@ -553,7 +568,17 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        ns = build_parser().parse_args(argv)
+    except _UsageError as e:
+        head = argv[:argv.index("--")] if "--" in argv else argv
+        if "--json" not in head:
+            # argparse's own report: usage and message on stderr, exit 2
+            argparse.ArgumentParser.error(e.parser, e.message)
+        print(json.dumps({"error": e.message, "exit": 2}, sort_keys=True))
+        return 2
     try:
         cfg = _resolve_config(ns)
         return _DISPATCH[ns.group](cfg, ns)

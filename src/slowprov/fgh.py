@@ -16,6 +16,7 @@ without ever building it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .ordinal import (
@@ -79,7 +80,10 @@ ThresholdResult = LE | GT | BudgetExceeded
 
 
 class Undecided(Exception):
-    """A membership test for l hit the budget; the value is not guessed."""
+    """A membership test for l hit the budget; the value is not guessed.
+
+    `m` is the candidate whose r(m) could not be compared with n.
+    """
 
     def __init__(self, n: int, m: int):
         super().__init__(f"l({n}) undecided: membership test at m={m} exceeded budget")
@@ -221,23 +225,39 @@ def eval_F_iter(alpha: Ordinal, i: int, n: int, budget: EvalBudget = DEFAULT_BUD
 def _plainly_above(alpha: Ordinal, n: int, threshold: int) -> bool:
     """Cheap sound lower bound: F_alpha(n) > threshold without any stepping.
 
+    At a fixed argument n the machine walks a descent: a limit lam gives way
+    to lam[n] at equal value, and a successor b+1 to b applied n+1 times, so
+    values weakly decrease along the descent (majorization along descents).
     Every descent from an index >= omega passes through omega itself (the
     only limit whose fundamental sequence leaves the infinite ordinals), and
-    F at omega equals F at n+1, which dominates F_2 once n >= 1. The same
-    F_2 bound covers finite indices >= 2. Values are weakly decreasing along
-    descents, so F_2(n) = 2^(n+1)*(n+1)-1 bounds F_alpha(n) from below; if
-    even that bound outgrows the threshold's bit length, the comparison is
-    settled. Without this, memberships like F at omega^omega of 7 against
-    threshold 8 would need ~8^8 machine steps before the value first moves.
+    F_omega(n) = F_{n+1}(n). F_2 and F_3 are monotone in their argument, so:
+
+    - for a finite index >= 2, or an index >= omega, with n >= 1,
+      F_alpha(n) >= F_2(n) = 2^(n+1)*(n+1)-1, which has n+1+bits(n) bits;
+    - for a finite index >= 3 with n >= 1, or an index >= omega with n >= 2
+      (where n+1 >= 3), F_alpha(n) >= F_3(n) >= F_2(F_2(n)), since F_3
+      applies F_2 at least twice. With y = F_2(n), F_2(y) has y+1+bits(y)
+      bits.
+
+    If a bound outgrows the threshold's bit length, the comparison is
+    settled. y is built only once the F_2 bound has failed, so it is no wider
+    than the threshold, and y >= bits(threshold) settles it at once. Without
+    these bounds F at omega^omega of 7 against threshold 8 would need ~8^8
+    machine steps before the value first moves, and F at omega^omega of 5
+    against any threshold from 256 up to 2^392 a full run of the step cap.
     """
-    if n < 1:
+    if n < 1 or alpha.is_zero():
         return False
     finite = not alpha.eps and len(alpha.terms) == 1 and alpha.terms[0][0].is_zero()
     if finite and alpha.terms[0][1] < 2:
         return False
-    if not finite and not alpha.eps and (not alpha.terms or alpha.terms[0][0].is_zero()):
+    thr_bits = threshold.bit_length()
+    if _shift_bits(n, n + 1) > thr_bits:
+        return True
+    if (alpha.terms[0][1] < 3) if finite else (n < 2):
         return False
-    return _shift_bits(n, n + 1) > threshold.bit_length()
+    y = ((n + 1) << (n + 1)) - 1
+    return y >= thr_bits or _shift_bits(y, y + 1) > thr_bits
 
 
 def compare_F_to(alpha: Ordinal, n: int, threshold: int,
@@ -245,7 +265,7 @@ def compare_F_to(alpha: Ordinal, n: int, threshold: int,
     """Decide F_alpha(n) <= threshold without necessarily finishing the value.
 
     GT fires as soon as any intermediate exceeds the threshold, or already
-    up front when the F_2 lower bound settles it; LE carries the exact
+    up front when the F_2 or F_3 lower bound settles it; LE carries the exact
     value; BudgetExceeded only on the step cap.
     """
     if n < 0 or threshold < 0:
@@ -263,37 +283,55 @@ def eval_F_shifted(z: int, x: int, budget: EvalBudget = DEFAULT_BUDGET) -> EvalR
 
 
 class SlowFunctions:
-    """One evaluation session for l and r, with a memo for decided l values.
+    """One evaluation session for l and r, kept as one inverse pair.
 
     l(n) is the largest m below n whose tower-indexed F value at m stays
-    within n (or 0 when no m qualifies); r(n) applies the tower indexed by
-    l(n) back to n. Decided l values are exact regardless of budget, so the
-    memo is keyed by n alone; Undecided is raised, never guessed around.
+    within n (or 0 when no m qualifies); r(m) = F_{tower(l(m))}(m) applies
+    the tower indexed by l(m) back to m. So l(n) is the largest m < n with
+    r(m) <= n, and the two are monotone:
+
+    - l is nondecreasing: r(m) does not depend on n, so the set of m < n
+      with r(m) <= n only grows with n, and l(n) is its maximum;
+    - r is nondecreasing: F at a fixed index is monotone in its argument, so
+      r(m) <= F_{tower(l(m))}(m+1); the descent of tower(l(m+1)) at m+1
+      passes through the lower tower tower(l(m)), and values weakly decrease
+      along descents, so that is at most F_{tower(l(m+1))}(m+1) = r(m+1).
+
+    Hence the m with r(m) <= n form a prefix 1..p that only grows with n.
+    The session keeps the exact r(1..p), sorted because r is nondecreasing,
+    and a proven lower bound on r(p+1). Since r(m) > m, every m counted by
+    bisecting at n lies below n, and l(n) is that count, in any query order.
+    The pointer p moves only when a query n reaches the bound, so l(n)
+    costs O(1) threshold tests amortized. Every stored value is exact
+    regardless of budget; a membership test that hits the budget raises
+    Undecided, never guessed around, and leaves the session as it was.
     """
 
     def __init__(self, budget: EvalBudget = DEFAULT_BUDGET):
         self.budget = budget
-        self._memo = {0: 0}
+        self._r = []        # exact r(1..p)
+        self._r_floor = 0   # proven lower bound on r(p+1)
 
     def l(self, n: int) -> int:
         if n < 0:
             raise ValueError("argument must be nonnegative")
-        for k in range(1, n + 1):
-            if k in self._memo:
-                continue
-            self._memo[k] = self._compute_l(k)
-        return self._memo[n]
+        return self._compute_l(n)
 
     def _compute_l(self, n: int) -> int:
-        # descending scan: the first qualifying m is the maximum
-        for m in range(n - 1, 0, -1):
-            tower = omega_tower(ONE, self._memo[m])
-            res = compare_F_to(tower, m, n, self.budget)
+        r = self._r
+        # advance the pointer to the candidate m = p+1 while r(m) <= n is
+        # still possible; every m' < m is in the prefix, so l(m) is a bisection
+        while len(r) + 1 < n and self._r_floor <= n:
+            m = len(r) + 1
+            res =compare_F_to(omega_tower(ONE, bisect_right(r, m)), m, n, self.budget)
             if isinstance(res, LE):
-                return m
-            if isinstance(res, BudgetExceeded):
+                r.append(res.v)
+                self._r_floor = res.v
+            elif isinstance(res, GT):
+                self._r_floor = n + 1
+            else:
                 raise Undecided(n, m)
-        return 0
+        return bisect_right(r, n)
 
     def r(self, n: int) -> EvalResult:
         ln = self.l(n)

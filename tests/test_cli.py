@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slowprov.cli import main
 from slowprov.modal.kripke import model_from_dict
@@ -75,6 +78,9 @@ class TestFgh:
     def test_l_and_r(self, capsys):
         assert run(capsys, "fgh", "l", "5")[1] == "2\n"
         assert run(capsys, "fgh", "r", "1")[1] == "3\n"
+
+    def test_l_far_out(self, capsys):
+        assert run(capsys, "fgh", "l", "1000000") == (0, "2\n", "")
 
     def test_r_budget_is_success_by_default(self, capsys):
         assert run(capsys, "fgh", "r", "3") == (0, "BUDGET\n", "")
@@ -259,6 +265,23 @@ class TestJsonMode:
         assert code == 2
         assert rec["exit"] == 2 and "must be nonnegative" in rec["error"]
 
+    def test_l_far_out_record(self, capsys):
+        assert self.single_record(capsys, "fgh", "l", "1000000") == \
+            (0, {"value": 2, "verdict": "VALUE"})
+
+    @pytest.mark.parametrize("args, message", [
+        (("fgh", "eval", "w", "x"), "argument n: invalid int value: 'x'"),
+        (("fgh", "foo"), "argument sub: invalid choice: 'foo'"),
+        (("fgh", "eval", "w"), "the following arguments are required: n"),
+    ], ids=["bad-int", "unknown-subcommand", "missing-argument"])
+    def test_usage_error_record(self, capsys, args, message):
+        code, out, err = run(capsys, "--json", *args)
+        assert code == 2 and err == ""
+        rec = json.loads(out)
+        assert out.count("\n") == 1
+        assert rec["exit"] == 2 and rec["error"].startswith(message)
+        assert set(rec) == {"error", "exit"}
+
     def test_stepdown_record(self, capsys):
         code, rec = self.single_record(capsys, "ord", "stepdown", "w", "2")
         assert rec == {"verdict": "REACHED", "steps": 4,
@@ -269,6 +292,93 @@ class TestJsonMode:
             {"result": "B p"}
         assert self.single_record(capsys, "iter", "entails", "B p", "B^w p")[1] == \
             {"result": "YES"}
+
+
+class TestUsageErrorsWithoutJson:
+    def test_usage_text_on_stderr(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fgh", "eval", "w", "x"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err == ("usage: slowprov fgh eval [-h] a n\n"
+                           "slowprov fgh eval: error: argument n: invalid int value: 'x'\n")
+
+    def test_json_after_double_dash_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fgh", "eval", "w", "--", "--json", "3"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+    def test_help_is_unchanged_under_json(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--json", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith("usage: slowprov")
+
+
+# --- argv fuzz --------------------------------------------------------------
+
+# One step of the machine or of a stepdown costs more as the ordinal grows
+# (e0 at 300 spends seconds on 10^4 steps), so the caps stay well below
+# their defaults and every example finishes quickly.
+_BAD_INTS = ["x", "", "1.5", "0x1f", "7e2", "-", "-3"]
+_NUMS = st.one_of(st.integers(0, 300).map(str), st.sampled_from(_BAD_INTS))
+_ORDS = st.sampled_from(["0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^w",
+                         "w^(w^w)", "e0", "w^", "", "x", "e0+1", "ww"])
+_POWER = st.one_of(st.just(""), _ORDS.map(lambda t: "^" + t))
+_ITER = st.builds(
+    lambda ops, atom: " ".join(ops + [atom]),
+    st.lists(st.builds(lambda op, pw: op + pw,
+                       st.sampled_from(["B", "S1", "S2", "R", "Q"]), _POWER), max_size=4),
+    st.sampled_from(["p", "q1", "P", "^"]))
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just("ord"), st.sampled_from(["cmp", "add", "mul"]), _ORDS, _ORDS),
+    st.tuples(st.just("ord"), st.just("fundseq"), _ORDS, _NUMS),
+    st.tuples(st.just("ord"), st.just("stepdown"), _ORDS, _NUMS, st.just("--target"), _ORDS,
+              st.just("--max-steps"), st.one_of(st.integers(0, 300).map(str),
+                                                st.sampled_from(_BAD_INTS))),
+    st.tuples(st.just("fgh"), st.just("eval"), _ORDS, _NUMS),
+    st.tuples(st.just("fgh"), st.just("cmpto"), _ORDS, _NUMS,
+              st.one_of(_NUMS, st.integers(0, 2 ** 64).map(str))),
+    st.tuples(st.just("fgh"), st.just("shift"), _NUMS, _NUMS),
+    st.tuples(st.just("fgh"), st.sampled_from(["l", "r"]), _NUMS),
+    st.tuples(st.just("iter"), st.just("normalize"), _ITER),
+    st.tuples(st.just("iter"), st.just("normalize"), _ITER, st.just("--collapse-under-box")),
+    st.tuples(st.just("iter"), st.just("entails"), _ITER, _ITER),
+    st.tuples(st.sampled_from(["ord", "fgh", "iter", "nope"]),
+              st.sampled_from(["foo", "eval", "cmp", "normalize"])),
+).map(list)
+
+
+@st.composite
+def _argvs(draw):
+    flags = draw(st.lists(st.sampled_from(["--json", "--strict", "--bits"]), unique=True))
+    caps = ["--stepcap", draw(st.one_of(st.integers(1, 500).map(str), st.sampled_from(_BAD_INTS))),
+            "--bitcap", draw(st.one_of(st.integers(1, 2 ** 16).map(str), st.sampled_from(_BAD_INTS)))]
+    command = draw(_COMMANDS)
+    keep = draw(st.integers(0, len(command)))
+    if draw(st.booleans()):
+        command = command[:keep]
+    return flags + caps + command
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=None)
+def test_every_argv_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    if "--json" in argv:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        rec = json.loads(lines[0])
+        assert isinstance(rec, dict)
+        if code == 2:
+            assert set(rec) == {"error", "exit"} and rec["exit"] == 2
 
 
 class TestDev:

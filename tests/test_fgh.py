@@ -1,5 +1,9 @@
 """Hierarchy evaluation: closed forms, budgets, threshold mode, l and r."""
 
+import random
+import sys
+import time
+
 import pytest
 
 from slowprov.ordinal import (
@@ -29,8 +33,10 @@ from slowprov.fgh import (
     eval_F_shifted,
     slow_l,
     slow_r,
+    _plainly_above,
     _shift_bits,
 )
+from slowprov.oracles import HardCapExceeded, oracle_F
 
 p = parse_ordinal
 
@@ -156,8 +162,9 @@ def test_compare_le_matches_eval():
 
 
 def test_compare_budget_exceeded_only_on_steps():
-    # value stays microscopic for a long time, so only the step cap can fire
-    got = compare_F_to(p("w^w"), 7, 2 ** 50, TINY)
+    # value stays microscopic for a long time, so only the step cap can fire;
+    # the threshold lies past the a-priori bound (F_2(F_2(7)) has 2,059 bits)
+    got = compare_F_to(p("w^w"), 7, 2 ** 4096, TINY)
     assert isinstance(got, BudgetExceeded)
 
 
@@ -166,6 +173,52 @@ def test_compare_decides_far_above_threshold_without_stepping():
     assert compare_F_to(p("w^w"), 7, 8) == GT()
     assert compare_F_to(p("w^(w^w)"), 9, 1000) == GT()
     assert compare_F_to(EPSILON0, 5, 100) == GT()
+
+
+PLAIN_GRID_INDICES = ["2", "3", "w", "w+1", "w*2", "w^2", "w^w"]
+PLAIN_GRID_THRESHOLDS = [t for t in sorted({*range(64), 159, 2046, 2047,
+                                            *(2 ** k + d for k in range(65) for d in (-1, 0, 1))})
+                         if t <= 2 ** 64]
+
+
+def _deep_oracle_F(alpha, n):
+    # the oracle recurses once per descent step, and w^w at 4 goes deeper
+    # than the default limit of 1,000 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    try:
+        return oracle_F(alpha, n, bit_cap=4096)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_plainly_above_is_sound_against_the_oracle():
+    # every a-priori GT must agree with the definition; a value wider than
+    # the oracle's cap is far above any threshold of the grid
+    decided = 0
+    for a_txt in PLAIN_GRID_INDICES:
+        for n in range(5):
+            try:
+                true = _deep_oracle_F(p(a_txt), n)
+            except HardCapExceeded:
+                true = None
+            for thr in PLAIN_GRID_THRESHOLDS:
+                if _plainly_above(p(a_txt), n, thr):
+                    decided += 1
+                    assert true is None or true > thr, (a_txt, n, thr, true)
+    assert decided > 1000
+
+
+def test_plainly_above_f3_bound_edges():
+    # F_3(1) = F_2(F_2(1)) = 2047 has 11 bits: the bound settles 10 bits only
+    assert _plainly_above(p("3"), 1, 2 ** 10 - 1)
+    assert not _plainly_above(p("3"), 1, 2 ** 10)
+    # F_w(1) = F_2(1) = 7, so the F_3 bound must not apply to w at n = 1
+    assert not _plainly_above(OMEGA, 1, 100)
+    # F at w^w of 5 against every n from 256 up to 2^392 needs no machine run
+    for thr in (256, 10 ** 6, 2 ** 64, 2 ** 392 - 1):
+        assert _plainly_above(p("w^w"), 5, thr)
+    assert not _plainly_above(p("w^w"), 5, 2 ** 392)
 
 
 def test_shifted():
@@ -261,12 +314,93 @@ def test_l_r_interplay():
 
 
 def test_l_undecided_under_starved_budget():
-    # 32 is the first n whose scan meets a membership the a-priori bound
-    # cannot settle (m=3, index omega) and three machine steps cannot either
+    # 2^69 is the first n at which the candidate m=3 (index omega) escapes
+    # the a-priori bounds (F_2(F_2(3)) has 70 bits, as many as n) and three
+    # machine steps cannot settle it either
     starved = EvalBudget(max_bit_length=2 ** 29, max_steps=3)
+    assert slow_l(2 ** 69 - 1, starved) == 2
     with pytest.raises(Undecided) as exc:
-        slow_l(32, starved)
+        slow_l(2 ** 69, starved)
     assert exc.value.m == 3
+
+
+class ScanReference:
+    """l as computed before the pointer: a descending scan for every n."""
+
+    def __init__(self, budget: EvalBudget = DEFAULT_BUDGET):
+        self.budget = budget
+        self._memo = {0: 0}
+
+    def l(self, n: int) -> int:
+        for k in range(1, n + 1):
+            if k in self._memo:
+                continue
+            self._memo[k] = self._compute_l(k)
+        return self._memo[n]
+
+    def _compute_l(self, n: int) -> int:
+        # descending scan: the first qualifying m is the maximum
+        for m in range(n - 1, 0, -1):
+            tower = omega_tower(ONE, self._memo[m])
+            res = compare_F_to(tower, m, n, self.budget)
+            if isinstance(res, LE):
+                return m
+            if isinstance(res, BudgetExceeded):
+                raise Undecided(n, m)
+        return 0
+
+
+@pytest.fixture(scope="module")
+def scan_table():
+    ref = ScanReference()
+    return [ref.l(n) for n in range(256)]
+
+
+def test_l_matches_the_scan_in_increasing_order(scan_table):
+    s = SlowFunctions()
+    assert [s.l(n) for n in range(256)] == scan_table
+
+
+def test_l_matches_the_scan_in_shuffled_order(scan_table):
+    order = list(range(256))
+    random.Random(5).shuffle(order)
+    s = SlowFunctions()
+    assert {n: s.l(n) for n in order} == dict(enumerate(scan_table))
+
+
+def test_l_matches_the_scan_on_fresh_sessions(scan_table):
+    assert [SlowFunctions().l(n) for n in range(256)] == scan_table
+
+
+def test_r_first_points_unchanged():
+    big = BudgetExceeded  # r(3) and r(4) stop at the successor guard
+    s = SlowFunctions()
+    assert [s.r(n) for n in range(5)] == [
+        Value(1), Value(3), Value(5),
+        big(7, DEFAULT_BUDGET.max_bit_length + 1),
+        big(8, DEFAULT_BUDGET.max_bit_length + 1),
+    ]
+
+
+def test_r_nondecreasing_on_decided_points():
+    # r(m) against 2^64 for the session's l(m): exact where it fits, GT
+    # beyond; a nondecreasing r never fits again once it exceeds
+    s = SlowFunctions()
+    seen = []
+    for m in range(1, 300):
+        res = compare_F_to(omega_tower(ONE, s.l(m)), m, 2 ** 64)
+        assert not isinstance(res, BudgetExceeded)
+        seen.append(res.v if isinstance(res, LE) else 2 ** 64 + 1)
+    assert seen[:3] == [3, 5, 2 ** 64 + 1]
+    assert seen == sorted(seen)
+    assert [s.r(m) for m in (1, 2)] == [Value(3), Value(5)]
+
+
+@pytest.mark.parametrize("n", [10 ** 6, 2 ** 64])
+def test_l_far_out_is_a_few_tests(n):
+    start = time.perf_counter()
+    assert SlowFunctions().l(n) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_module_level_wrappers():
