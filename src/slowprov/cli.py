@@ -9,8 +9,8 @@ default or exactly one JSON record with --json, and exits with:
   3  budget exhausted while --strict is set
   4  invalid model file, or a model/semantics mismatch
 
-Budget caps respect SLOWPROV_BITCAP and SLOWPROV_STEPCAP; model search
-size respects SLOWPROV_MODELSIZE.
+Budget caps respect SLOWPROV_BITCAP and SLOWPROV_STEPCAP; the glt and
+gl2 model search size respects SLOWPROV_MODELSIZE.
 """
 
 from __future__ import annotations
@@ -480,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stepcap", type=int, default=None,
                    help="evaluation step cap (env SLOWPROV_STEPCAP)")
     p.add_argument("--max-model-size", type=int, default=None,
-                   help="countermodel search bound (env SLOWPROV_MODELSIZE)")
+                   help="countermodel search bound for glt and gl2; gl sizes "
+                        "its search from the formula (env SLOWPROV_MODELSIZE)")
     p.add_argument("--max-proof-depth", type=int, default=None,
                    help="proof search round bound")
     p.add_argument("--seed", type=int, default=None,

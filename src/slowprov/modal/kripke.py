@@ -141,8 +141,8 @@ def validate_model(m: KripkeModel, a: Formula):
     for w in m.worlds:
         if (w, w) in ps:
             return Violation(1, f"{w} precedes itself")
-    for a1, b1 in ps:
-        for c, d in ps:
+    for a1, b1 in m.prec:
+        for c, d in m.prec:
             if c == b1 and (a1, d) not in ps:
                 return Violation(1, f"missing transitive pair ({a1}, {d})")
     for w in m.worlds:
@@ -156,22 +156,22 @@ def validate_model(m: KripkeModel, a: Formula):
         if len(immediate) != 1:
             return Violation(1, f"{w} has {len(immediate)} immediate predecessors")
     rs = set(m.precR)
-    for pair in rs:
+    for pair in m.precR:
         if pair not in ps:
             return Violation(2, f"auxiliary pair {pair} outside the tree order")
-    for x, y in ps:
-        for c, d in rs:
+    for x, y in m.prec:
+        for c, d in m.precR:
             if c == y and (x, d) not in rs:
                 return Violation(3, f"({x}, {d}) missing")
-    for c, d in rs:
-        for x, y in ps:
+    for c, d in m.precR:
+        for x, y in m.prec:
             if x == d and (c, y) not in rs:
                 return Violation(4, f"({c}, {y}) missing")
     if rs:
         idx, tri, box, val = _masks(m)
         full = (1 << len(idx)) - 1
         refl = _reflexive(_run(_compile(a), full, val, tri, box), tri, full)
-        for x, y in sorted(rs):
+        for x, y in m.precR:
             j = idx[y]
             below = sum(1 << c for c, succ in enumerate(tri) if succ >> j & 1)
             if not box[idx[x]] & (below | 1 << j) & refl:

@@ -2,9 +2,10 @@
 
 Proofs are flat line lists. Each line carries a formula, a rule tag, and
 back-references. Tautologies are decided by truth-tabling over the maximal
-non-boolean subformulas; axiom tags are matched structurally against their
-schema; the two rules check their cited lines. Necessitation is primitive
-for `[.]` only; the boxed form is derivable and deliberately rejected.
+non-boolean subformulas; each axiom tag is matched against its schema,
+written once as a formula in AXIOMS; the two rules check their cited
+lines. Necessitation is primitive for `[.]` only; the boxed form is
+derivable and deliberately rejected.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .formula import (
+    BINARY,
+    UNARY,
     And,
     Bot,
-    Box,
     Formula,
     Iff,
     Implies,
@@ -117,64 +119,47 @@ def is_tautology(f: Formula) -> bool:
     return True
 
 
-# --- axiom schema matchers --------------------------------------------------
+# --- axiom schemas ----------------------------------------------------------
+#
+# Each schema is written once; its variables a and b stand for any formula.
 
-def _match_k(f: Formula, box) -> bool:
-    return (isinstance(f, Implies) and isinstance(f.left, box)
-            and isinstance(f.left.body, Implies)
-            and isinstance(f.right, Implies)
-            and isinstance(f.right.left, box) and isinstance(f.right.right, box)
-            and f.right.left.body == f.left.body.left
-            and f.right.right.body == f.left.body.right)
-
-
-def _match_lob_tri(f: Formula) -> bool:
-    return (isinstance(f, Implies) and isinstance(f.left, Triangle)
-            and isinstance(f.left.body, Implies)
-            and isinstance(f.left.body.left, Triangle)
-            and isinstance(f.right, Triangle)
-            and f.left.body.left.body == f.left.body.right == f.right.body)
+AXIOMS = {tag: parse_formula(text) for tag, text in (
+    ("AxK_tri", "[.](a -> b) -> [.]a -> [.]b"),
+    ("AxK_box", "[](a -> b) -> []a -> []b"),
+    ("AxL_tri", "[.]([.]a -> a) -> [.]a"),
+    ("AxT1", "[.]a -> []a"),
+    ("AxT2", "[]a -> [.][]a"),
+    ("AxT3", "[]a -> [][.]a"),
+    ("AxT4", "[][.]a -> []a"),
+    ("Ax2", "[]a <-> [.][.]a"),
+)}
 
 
-def _match_t1(f: Formula) -> bool:
-    return (isinstance(f, Implies) and isinstance(f.left, Triangle)
-            and isinstance(f.right, Box) and f.left.body == f.right.body)
+def match(schema: Formula, f: Formula, env: dict) -> bool:
+    """Whether f is an instance of schema, binding each schema variable in
+    env to the one formula it stands for wherever it occurs."""
+    if isinstance(schema, Var):
+        return env.setdefault(schema.name, f) == f
+    if type(schema) is not type(f):
+        return False
+    if isinstance(schema, UNARY):
+        return match(schema.body, f.body, env)
+    if isinstance(schema, BINARY):
+        return (match(schema.left, f.left, env)
+                and match(schema.right, f.right, env))
+    return True
 
 
-def _match_t2(f: Formula) -> bool:
-    return (isinstance(f, Implies) and isinstance(f.left, Box)
-            and isinstance(f.right, Triangle) and isinstance(f.right.body, Box)
-            and f.right.body == f.left)
-
-
-def _match_t3(f: Formula) -> bool:
-    return (isinstance(f, Implies) and isinstance(f.left, Box)
-            and isinstance(f.right, Box) and isinstance(f.right.body, Triangle)
-            and f.right.body.body == f.left.body)
-
-
-def _match_t4(f: Formula) -> bool:
-    return (isinstance(f, Implies) and isinstance(f.left, Box)
-            and isinstance(f.left.body, Triangle)
-            and isinstance(f.right, Box) and f.left.body.body == f.right.body)
-
-
-def _match_ax2(f: Formula) -> bool:
-    return (isinstance(f, Iff) and isinstance(f.left, Box)
-            and isinstance(f.right, Triangle) and isinstance(f.right.body, Triangle)
-            and f.right.body.body == f.left.body)
-
-
-AXIOM_MATCHERS = {
-    "AxK_tri": lambda f: _match_k(f, Triangle),
-    "AxK_box": lambda f: _match_k(f, Box),
-    "AxL_tri": _match_lob_tri,
-    "AxT1": _match_t1,
-    "AxT2": _match_t2,
-    "AxT3": _match_t3,
-    "AxT4": _match_t4,
-    "Ax2": _match_ax2,
-}
+def instantiate(schema: Formula, env: dict) -> Formula:
+    """schema with each variable replaced by its formula in env."""
+    if isinstance(schema, Var):
+        return env[schema.name]
+    if isinstance(schema, UNARY):
+        return type(schema)(instantiate(schema.body, env))
+    if isinstance(schema, BINARY):
+        return type(schema)(instantiate(schema.left, env),
+                            instantiate(schema.right, env))
+    return schema
 
 
 # --- the checker ------------------------------------------------------------
@@ -192,7 +177,7 @@ def check_proof(p: ProofObject):
             return ErrorAt(no, f"unknown rule {rule!r}")
         if rule not in allowed:
             return ErrorAt(no, f"{rule} is not part of {p.system}")
-        if rule in AXIOM_MATCHERS or rule == "Taut":
+        if rule in AXIOMS or rule == "Taut":
             if line.refs:
                 return ErrorAt(no, f"{rule} takes no references")
             if rule == "Taut":
@@ -201,7 +186,7 @@ def check_proof(p: ProofObject):
                         return ErrorAt(no, "not a tautology")
                 except ProofError as e:
                     return ErrorAt(no, str(e))
-            elif not AXIOM_MATCHERS[rule](line.formula):
+            elif not match(AXIOMS[rule], line.formula, {}):
                 return ErrorAt(no, f"not an instance of {rule}")
             continue
         for ref in line.refs:

@@ -1,8 +1,14 @@
 """Proof search for the three systems.
 
-Strategy, in order: tautology check on the goal, direct axiom match, a
-small library of derivation templates (transitivity of `[.]`, the boxed
-Loeb principle, box transitivity, collapse lemmas for the two-step box),
+Two tables drive it. Every axiom line instantiates a schema of
+proofs.AXIOMS through `_Builder.axiom`. `_TEMPLATES` lists derivation
+templates as rows of goal schema, the systems the derivation is sound in,
+and the derived move that proves the goal's instance (transitivity of
+`[.]`, box transitivity, the boxed Loeb principle, collapse lemmas for the
+two-step box).
+
+Strategy, in order: tautology check on the goal, a match against the
+system's axiom schemas, the first template row that matches the goal,
 then a bounded forward closure over the goal's subformulas using modus
 ponens, triangle necessitation, monotonicity and syllogism steps. Every
 proof that comes out is re-validated with check_proof before it is
@@ -11,17 +17,23 @@ returned, so a None result is the only unverified outcome.
 
 from __future__ import annotations
 
-from .formula import And, Box, Formula, Iff, Implies, Triangle, subformulas
+from .formula import (And, Box, Formula, Iff, Implies, Triangle,
+                      parse_formula, subformulas)
 from .proofs import (
-    AXIOM_MATCHERS,
+    AXIOMS,
     Ok,
     ProofError,
     ProofLine,
     ProofObject,
     SYSTEM_RULES,
     check_proof,
+    instantiate,
     is_tautology,
+    match,
 )
+
+# The forward closure stops once the builder holds more lines than this.
+LINE_CAP = 400
 
 
 def _taut(f: Formula) -> bool:
@@ -34,14 +46,13 @@ def _taut(f: Formula) -> bool:
 class _Builder:
     """Accumulates proof lines with structural deduplication."""
 
-    def __init__(self, system: str, cap: int = 400):
+    def __init__(self, system: str):
         self.system = system
-        self.cap = cap
         self.lines: list[ProofLine] = []
         self.index: dict[Formula, int] = {}
 
     def overflow(self) -> bool:
-        return len(self.lines) > self.cap
+        return len(self.lines) > LINE_CAP
 
     def have(self, f: Formula):
         return self.index.get(f)
@@ -66,35 +77,9 @@ class _Builder:
     def nec(self, line: int) -> int:
         return self.add(Triangle(self.lines[line - 1].formula), "Nec_tri", (line,))
 
-    # -- axiom instances -----------------------------------------------
-
-    def k_tri(self, a: Formula, b: Formula) -> int:
-        f = Implies(Triangle(Implies(a, b)),
-                    Implies(Triangle(a), Triangle(b)))
-        return self.add(f, "AxK_tri")
-
-    def k_box(self, a: Formula, b: Formula) -> int:
-        f = Implies(Box(Implies(a, b)), Implies(Box(a), Box(b)))
-        return self.add(f, "AxK_box")
-
-    def lob_tri(self, a: Formula) -> int:
-        f = Implies(Triangle(Implies(Triangle(a), a)), Triangle(a))
-        return self.add(f, "AxL_tri")
-
-    def t1(self, a: Formula) -> int:
-        return self.add(Implies(Triangle(a), Box(a)), "AxT1")
-
-    def t2(self, a: Formula) -> int:
-        return self.add(Implies(Box(a), Triangle(Box(a))), "AxT2")
-
-    def t3(self, a: Formula) -> int:
-        return self.add(Implies(Box(a), Box(Triangle(a))), "AxT3")
-
-    def t4(self, a: Formula) -> int:
-        return self.add(Implies(Box(Triangle(a)), Box(a)), "AxT4")
-
-    def ax2(self, a: Formula) -> int:
-        return self.add(Iff(Box(a), Triangle(Triangle(a))), "Ax2")
+    def axiom(self, tag: str, a: Formula, b: Formula = None) -> int:
+        """The instance of AXIOMS[tag] at a (and b, for the K schemas)."""
+        return self.add(instantiate(AXIOMS[tag], {"a": a, "b": b}), tag)
 
     # -- derived moves -------------------------------------------------
 
@@ -111,17 +96,17 @@ class _Builder:
         """From X->Y conclude [.]X -> [.]Y."""
         f = self.lines[imp - 1].formula
         necd = self.nec(imp)
-        k = self.k_tri(f.left, f.right)
+        k = self.axiom("AxK_tri", f.left, f.right)
         return self.mp(necd, k)
 
     def tri_tri_to_box(self, a: Formula) -> int:
-        ax = self.ax2(a)
+        ax = self.axiom("Ax2", a)
         fwd = self.taut(Implies(self.lines[ax - 1].formula,
                                 Implies(Triangle(Triangle(a)), Box(a))))
         return self.mp(ax, fwd)
 
     def box_to_tri_tri(self, a: Formula) -> int:
-        ax = self.ax2(a)
+        ax = self.axiom("Ax2", a)
         fwd = self.taut(Implies(self.lines[ax - 1].formula,
                                 Implies(Box(a), Triangle(Triangle(a)))))
         return self.mp(ax, fwd)
@@ -138,9 +123,9 @@ class _Builder:
             half = self.chain(open_x, step2)
             return self.chain(half, close_y)
         necd = self.nec(imp)
-        lift = self.t1(f)
+        lift = self.axiom("AxT1", f)
         boxed = self.mp(necd, lift)
-        k = self.k_box(x, y)
+        k = self.axiom("AxK_box", x, y)
         return self.mp(boxed, k)
 
     def nec_box(self, line: int) -> int:
@@ -151,22 +136,23 @@ class _Builder:
             coll = self.tri_tri_to_box(f)
             return self.mp(twice, coll)
         necd = self.nec(line)
-        lift = self.t1(f)
+        lift = self.axiom("AxT1", f)
         return self.mp(necd, lift)
 
     def four_tri(self, a: Formula) -> int:
         """[.]A -> [.][.]A, via the conjunction A & [.]A."""
         c = And(a, Triangle(a))
         l1 = self.taut(Implies(c, a))
-        l4 = self.mp(self.nec(l1), self.k_tri(c, a))
+        l4 = self.mp(self.nec(l1), self.axiom("AxK_tri", c, a))
         l5 = self.taut(Implies(self.lines[l4 - 1].formula,
                                Implies(a, Implies(Triangle(c), c))))
         l6 = self.mp(l4, l5)
-        l9 = self.mp(self.nec(l6), self.k_tri(a, Implies(Triangle(c), c)))
-        l10 = self.lob_tri(c)
+        l9 = self.mp(self.nec(l6),
+                     self.axiom("AxK_tri", a, Implies(Triangle(c), c)))
+        l10 = self.axiom("AxL_tri", c)
         l13 = self.chain(l9, l10)
         l14 = self.taut(Implies(c, Triangle(a)))
-        l17 = self.mp(self.nec(l14), self.k_tri(c, Triangle(a)))
+        l17 = self.mp(self.nec(l14), self.axiom("AxK_tri", c, Triangle(a)))
         return self.chain(l13, l17)
 
     def four_box(self, a: Formula) -> int:
@@ -183,22 +169,22 @@ class _Builder:
             part = self.chain(open_a, quad)
             part = self.chain(part, deep_coll)
             return self.chain(part, close_box)
-        first = self.t2(a)
-        second = self.t1(Box(a))
+        first = self.axiom("AxT2", a)
+        second = self.axiom("AxT1", Box(a))
         return self.chain(first, second)
 
     def box_lob(self, a: Formula) -> int:
         """[]([]A -> A) -> []A, from the triangle Loeb axiom."""
-        t1a = self.t1(a)
+        t1a = self.axiom("AxT1", a)
         weak = self.taut(Implies(self.lines[t1a - 1].formula,
                                  Implies(Implies(Box(a), a),
                                          Implies(Triangle(a), a))))
         inner = self.mp(t1a, weak)
         lifted = self.mono_box(inner)
-        lob = self.lob_tri(a)
+        lob = self.axiom("AxL_tri", a)
         shifted = self.mono_box(lob)
-        t3i = self.t3(Implies(Triangle(a), a))
-        t4i = self.t4(a)
+        t3i = self.axiom("AxT3", Implies(Triangle(a), a))
+        t4i = self.axiom("AxT4", a)
         part = self.chain(lifted, t3i)
         part = self.chain(part, shifted)
         return self.chain(part, t4i)
@@ -211,67 +197,48 @@ class _Builder:
 
 
 def _axiom_rule_for(f: Formula, system: str):
-    for tag in SYSTEM_RULES[system]:
-        matcher = AXIOM_MATCHERS.get(tag)
-        if matcher is not None and matcher(f):
+    for tag, schema in AXIOMS.items():
+        if tag in SYSTEM_RULES[system] and match(schema, f, {}):
             return tag
     return None
 
 
+# Goal schema, the systems it is offered in, and the derivation of its
+# instance at a; tried in this order. box_lob uses AxT1, AxT3 and AxT4, so
+# it is GLT's alone.
+_TEMPLATES = tuple((parse_formula(text), systems, derive)
+                   for text, systems, derive in (
+    ("[.]a -> [.][.]a", ("GL", "GLT", "GL2"), _Builder.four_tri),
+    ("[]a -> [][]a", ("GLT", "GL2"), _Builder.four_box),
+    ("[]([]a -> a) -> []a", ("GLT",), _Builder.box_lob),
+    ("[.]a -> []a", ("GL2",), _Builder.tri_to_box),
+    ("[.][.]a -> []a", ("GL2",), _Builder.tri_tri_to_box),
+    ("[]a -> [.][.]a", ("GL2",), _Builder.box_to_tri_tri),
+))
+
+
 def _try_templates(b: _Builder, goal: Formula) -> bool:
-    sysname = b.system
-    if (isinstance(goal, Implies) and isinstance(goal.left, Triangle)
-            and isinstance(goal.right, Triangle)
-            and isinstance(goal.right.body, Triangle)
-            and goal.right.body.body == goal.left.body):
-        b.four_tri(goal.left.body)
-        return True
-    if sysname == "GL":
-        return False
-    if not isinstance(goal, Implies):
-        return False
-    left, right = goal.left, goal.right
-    if (isinstance(left, Box) and isinstance(right, Box)
-            and isinstance(right.body, Box) and right.body.body == left.body):
-        b.four_box(left.body)
-        return True
-    if (isinstance(left, Box) and isinstance(left.body, Implies)
-            and isinstance(left.body.left, Box)
-            and left.body.left.body == left.body.right
-            and right == Box(left.body.right)):
-        b.box_lob(left.body.right)
-        return True
-    if sysname == "GL2" and isinstance(right, Box):
-        if left == Triangle(right.body):
-            b.tri_to_box(right.body)
+    for schema, systems, derive in _TEMPLATES:
+        env = {}
+        if b.system in systems and match(schema, goal, env):
+            derive(b, env["a"])
             return True
-        if left == Triangle(Triangle(right.body)):
-            b.tri_tri_to_box(right.body)
-            return True
-    if (sysname == "GL2" and isinstance(left, Box)
-            and right == Triangle(Triangle(left.body))):
-        b.box_to_tri_tri(left.body)
-        return True
     return False
 
 
 def _seed(b: _Builder, pool):
     sysname = b.system
+    allowed = SYSTEM_RULES[sysname]
     for f in pool:
         if _taut(f):
             b.taut(f)
-        b.lob_tri(f)
-        if sysname == "GLT":
-            b.t1(f)
-            b.t2(f)
-            b.t3(f)
-            b.t4(f)
-        elif sysname == "GL2":
-            b.ax2(f)
+        for tag in ("AxL_tri", "AxT1", "AxT2", "AxT3", "AxT4", "Ax2"):
+            if tag in allowed:
+                b.axiom(tag, f)
         if isinstance(f, Implies):
-            b.k_tri(f.left, f.right)
-            if sysname != "GL":
-                b.k_box(f.left, f.right)
+            for tag in ("AxK_tri", "AxK_box"):
+                if tag in allowed:
+                    b.axiom(tag, f.left, f.right)
     tri_bodies = [f.body for f in pool if isinstance(f, Triangle)]
     box_bodies = [f.body for f in pool if isinstance(f, Box)]
     for bodies, mono in ((tri_bodies, b.mono_tri),
@@ -354,12 +321,11 @@ def _prune(b: _Builder, goal: Formula) -> ProofObject:
     return ProofObject(b.system, lines)
 
 
-def prove(goal: Formula, system: str, rounds: int = 4,
-          line_cap: int = 400):
+def prove(goal: Formula, system: str, rounds: int = 4):
     """Search for a proof of goal; returns a checked ProofObject or None."""
     if system not in SYSTEM_RULES:
         raise ProofError(f"unknown system {system!r}")
-    b = _Builder(system, cap=line_cap)
+    b = _Builder(system)
     done = False
     if _taut(goal):
         b.taut(goal)
@@ -372,7 +338,7 @@ def prove(goal: Formula, system: str, rounds: int = 4,
     if not done and _try_templates(b, goal):
         done = goal in b.index
     if not done:
-        pool = set(subformulas(goal))
+        pool = dict.fromkeys(subformulas(goal))
         _seed(b, pool)
         for i in range(rounds):
             if _closure_round(b, pool, goal, last=(i == rounds - 1)):

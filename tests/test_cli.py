@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,6 +245,11 @@ class TestJsonMode:
         m = model_from_dict(rec["model"])
         assert rec["world"] in m.worlds
 
+    def test_boxed_loeb_under_gl2_is_one_record(self, capsys):
+        code, rec = self.single_record(capsys, "modal", "decide", "gl2",
+                                       "[]([]p -> p) -> []p")
+        assert code == 0 and rec["verdict"] == "INCONCLUSIVE"
+
     def test_theorem_record_carries_replayable_proof(self, capsys):
         code, rec = self.single_record(capsys, "modal", "decide", "glt",
                                        "[.]p -> []p")
@@ -379,6 +388,44 @@ def test_every_argv_ends_in_a_documented_exit(argv):
         assert isinstance(rec, dict)
         if code == 2:
             assert set(rec) == {"error", "exit"} and rec["exit"] == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_hash_seeded(seed, *args):
+    """stdout of slowprov in a fresh process under PYTHONHASHSEED=seed."""
+    path = os.pathsep.join(filter(None, (str(SRC),
+                                         os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "slowprov.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return done.stdout
+
+
+class TestHashSeedIndependence:
+    # Seeds 0 and 1 are a pair under which iterating sets of these strings
+    # changes both outputs.
+    def test_proof_lines(self):
+        args = ("--json", "modal", "decide", "glt", "[.][.]p -> []p")
+        first = run_hash_seeded(0, *args)
+        assert json.loads(first)["verdict"] == "THEOREM"
+        assert run_hash_seeded(1, *args) == first
+
+    def test_validation_detail(self, tmp_path):
+        # a four-world chain missing three pairs that condition 3 demands
+        worlds = ["w0", "w1", "w2", "w3"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "worlds": worlds, "root": "w0",
+            "prec": [[x, y] for i, x in enumerate(worlds)
+                     for y in worlds[i + 1:]],
+            "precR": [["w1", "w2"], ["w2", "w3"]], "val": {}}))
+        args = ("modal", "checkmodel", str(path), "p")
+        first = run_hash_seeded(0, *args)
+        assert first == "VIOLATION condition=3: (w0, w2) missing\n"
+        assert run_hash_seeded(1, *args) == first
 
 
 class TestDev:

@@ -59,27 +59,38 @@ def test_validate_chain_is_sound_for_anything():
 
 def test_validate_condition_numbers():
     a = parse_formula("[.]p")
-    bad_trans = KripkeModel(worlds=("a", "b", "c"), root="a",
-                            prec=(("a", "b"), ("b", "c")))
-    got = validate_model(bad_trans, a)
-    assert isinstance(got, Violation) and got.condition == 1
-
-    not_in_prec = KripkeModel(worlds=("a", "b"), root="a",
-                              prec=(("a", "b"),), precR=(("b", "a"),))
-    got = validate_model(not_in_prec, a)
-    assert isinstance(got, Violation) and got.condition == 2
-
-    # a precR pair whose target has no reflexive witness for [.]p
-    no_witness = KripkeModel(worlds=("a", "b"), root="a", prec=(("a", "b"),),
-                             precR=(("a", "b"),), val={"p": ()})
-    got = validate_model(no_witness, a)
-    assert isinstance(got, Violation) and got.condition == 5
-
-    mixing = KripkeModel(worlds=("a", "b", "c"), root="a",
-                         prec=(("a", "b"), ("a", "c"), ("b", "c")),
-                         precR=(("b", "c"),), val={"p": ("c",)})
-    got = validate_model(mixing, a)
-    assert isinstance(got, Violation) and got.condition == 3
+    cases = [
+        (KripkeModel(worlds=("a", "b"), root="a",
+                     prec=(("a", "a"), ("a", "b"))),
+         1, "a precedes itself"),
+        (KripkeModel(worlds=("a", "b", "c"), root="a",
+                     prec=(("a", "b"), ("b", "c"))),
+         1, "missing transitive pair (a, c)"),
+        (KripkeModel(worlds=("a", "b"), root="a"),
+         1, "root does not reach b"),
+        # d sits above both b and c
+        (KripkeModel(worlds=("a", "b", "c", "d"), root="a",
+                     prec=(("a", "b"), ("a", "c"), ("a", "d"),
+                           ("b", "d"), ("c", "d"))),
+         1, "d has 2 immediate predecessors"),
+        (KripkeModel(worlds=("a", "b"), root="a",
+                     prec=(("a", "b"),), precR=(("b", "a"),)),
+         2, "auxiliary pair ('b', 'a') outside the tree order"),
+        (KripkeModel(worlds=("a", "b", "c"), root="a",
+                     prec=(("a", "b"), ("a", "c"), ("b", "c")),
+                     precR=(("b", "c"),), val={"p": ("c",)}),
+         3, "(a, c) missing"),
+        (KripkeModel(worlds=("a", "b", "c"), root="a",
+                     prec=(("a", "b"), ("a", "c"), ("b", "c")),
+                     precR=(("a", "b"),), val={"p": ("b", "c")}),
+         4, "(a, c) missing"),
+        # a precR pair whose target has no reflexive witness for [.]p
+        (KripkeModel(worlds=("a", "b"), root="a", prec=(("a", "b"),),
+                     precR=(("a", "b"),), val={"p": ()}),
+         5, "no reflexive witness for (a, b)"),
+    ]
+    for model, condition, detail in cases:
+        assert validate_model(model, a) == Violation(condition, detail)
 
 
 def test_eval_fixed_cases():

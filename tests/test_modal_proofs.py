@@ -4,6 +4,8 @@ import pytest
 
 from slowprov.modal.formula import parse_formula
 from slowprov.modal.proofs import (
+    AXIOMS,
+    SYSTEM_RULES,
     ErrorAt,
     Ok,
     ProofError,
@@ -11,11 +13,13 @@ from slowprov.modal.proofs import (
     ProofObject,
     check_proof,
     conclusion,
+    instantiate,
     is_tautology,
+    match,
     proof_from_dict,
     proof_to_dict,
 )
-from slowprov.modal.prover import prove
+from slowprov.modal.prover import _TEMPLATES, prove
 
 pf = parse_formula
 
@@ -105,6 +109,18 @@ class TestChecker:
         assert got.line == 2 and "no references" in got.reason
 
 
+@pytest.mark.parametrize("tag", sorted(AXIOMS))
+def test_axiom_instances_match_back(tag):
+    env = {"a": pf("[.]p"), "b": pf("q -> p")}
+    f = instantiate(AXIOMS[tag], env)
+    got = {}
+    assert match(AXIOMS[tag], f, got)
+    assert got and got.items() <= env.items()
+    for system, rules in SYSTEM_RULES.items():
+        if tag in rules:
+            assert check_proof(ProofObject(system, (ProofLine(f, tag),))) == Ok()
+
+
 def test_tautology_checker():
     assert is_tautology(pf("((p -> q) -> p) -> p"))
     assert is_tautology(pf("[]p | ~[]p"))
@@ -167,6 +183,17 @@ def test_prover_finds_checked_proofs(text, system):
     assert proof.system == system
     assert check_proof(proof) == Ok()
     assert conclusion(proof) == goal
+
+
+@pytest.mark.parametrize("row", range(len(_TEMPLATES)))
+def test_every_template_row_proves_its_goal(row):
+    schema, systems, _ = _TEMPLATES[row]
+    for system in systems:
+        for body in ("p", "[.]q", "p -> []q"):
+            goal = instantiate(schema, {"a": pf(body)})
+            proof = prove(goal, system)
+            assert proof is not None and conclusion(proof) == goal
+            assert check_proof(proof) == Ok()
 
 
 @pytest.mark.parametrize("text,system", [
