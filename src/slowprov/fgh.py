@@ -139,7 +139,7 @@ def _run(stack, v: int, budget: EvalBudget, threshold=None):
             elif bits > max_bits:
                 return BudgetExceeded(steps, biggest)
 
-        elif alpha == ONE:
+        elif alpha is ONE:
             stack.pop()
             steps += 1
             bits = _shift_bits(v, count)
@@ -183,7 +183,7 @@ def _run(stack, v: int, budget: EvalBudget, threshold=None):
             # limit clause; expanding eps0 builds a tower of height v+1 and
             # is charged accordingly, which also guards against building a
             # tower the remaining budget could never consume
-            cost = v + 1 if alpha.eps else 1
+            cost = v + 1 if alpha is EPSILON0 else 1
             if steps + cost > max_steps:
                 return BudgetExceeded(steps, biggest)
             if count == 1:
@@ -191,8 +191,7 @@ def _run(stack, v: int, budget: EvalBudget, threshold=None):
             else:
                 top[1] = count - 1
             steps += cost
-            if (threshold is None and v >= max_bits and not alpha.eps
-                    and alpha.terms[-1][0] == ONE):
+            if threshold is None and v >= max_bits and alpha.exp is ONE:
                 # fund_seq ends this limit in +(v+1), a successor with a
                 # nonzero predecessor, so the next step is the successor
                 # guard; stop as it would, without building v+1
@@ -248,13 +247,13 @@ def _plainly_above(alpha: Ordinal, n: int, threshold: int) -> bool:
     """
     if n < 1 or alpha.is_zero():
         return False
-    finite = not alpha.eps and len(alpha.terms) == 1 and alpha.terms[0][0].is_zero()
-    if finite and alpha.terms[0][1] < 2:
+    finite = alpha.length == 1 and alpha.exp.is_zero()
+    if finite and alpha.coeff < 2:
         return False
     thr_bits = threshold.bit_length()
     if _shift_bits(n, n + 1) > thr_bits:
         return True
-    if (alpha.terms[0][1] < 3) if finite else (n < 2):
+    if (alpha.coeff < 3) if finite else (n < 2):
         return False
     y = ((n + 1) << (n + 1)) - 1
     return y >= thr_bits or _shift_bits(y, y + 1) > thr_bits

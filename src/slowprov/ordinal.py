@@ -4,12 +4,32 @@ Ordinals are sums of omega-powers with positive integer coefficients and
 strictly decreasing exponents. The value epsilon_0 exists as a distinguished
 constant so it can index hierarchies and fundamental sequences, but it takes
 no part in arithmetic.
+
+An ordinal is a node of a persistent snoc list: `prefix + w^exp * coeff`,
+where `prefix` is the ordinal of all terms but the last, `exp` and `coeff`
+are the last term, `length` counts the terms and `lead_exp` and `lead_coeff`
+are the leading term. ZERO is the empty list; EPSILON0 is a separate
+singleton. One builder, `_snoc`, interns every node in a table keyed by
+(prefix, exp, coeff) that holds its nodes weakly, so equal ordinals are the
+same object: `==` is identity, the hash is computed once from the
+children's, and an ordinal nothing refers to leaves the table. The public
+`Ordinal(...)` validates its input and returns the interned node.
+
+The last-term operations (`classify`, `fund_seq`, `stepdown_one`) rebuild
+only the chain of last exponents, so a descent step costs O(nesting depth),
+not O(size of the ordinal). `terms` is a read-only tuple view of the
+(exponent, coefficient) pairs, built on demand in O(length). `compare`,
+`render_ordinal` and `parse_ordinal` loop over explicit stacks, so no nesting
+depth exhausts Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
+from operator import attrgetter
 
 
 class OrdinalError(Exception):
@@ -41,48 +61,66 @@ class Cmp(Enum):
 
 
 class Ordinal:
-    """An ordinal <= epsilon_0.
+    """An ordinal <= epsilon_0, interned: equal ordinals are one object.
 
-    `terms` is a tuple of (exponent, coefficient) pairs with exponents
-    strictly decreasing and coefficients >= 1; the empty tuple is zero.
-    The epsilon_0 constant is the single instance with `eps` set.
+    A nonzero ordinal below epsilon_0 is `prefix + w^exp * coeff` with
+    `length` terms, the first of which is `w^lead_exp * lead_coeff`. ZERO and
+    EPSILON0 have length 0, coefficients 0 and no prefix or exponents;
+    `eps` tells EPSILON0 apart. These are read-only properties over private
+    slots, which only this module writes, as it builds a node; `_text`
+    keeps the text of a short node once it was rendered.
+    `Ordinal(terms)` checks a tuple of (exponent, coefficient) pairs for
+    normal form and returns the interned node; `Ordinal(eps=True)` returns
+    EPSILON0.
     """
 
-    __slots__ = ("terms", "eps", "_hash")
+    __slots__ = ("_prefix", "_exp", "_coeff", "_length", "_lead_exp", "_lead_coeff", "_hash",
+                 "_uid", "_text", "__weakref__")
 
-    def __init__(self, terms=(), eps: bool = False):
+    prefix = property(attrgetter("_prefix"))
+    exp = property(attrgetter("_exp"))
+    coeff = property(attrgetter("_coeff"))
+    length = property(attrgetter("_length"))
+    lead_exp = property(attrgetter("_lead_exp"))
+    lead_coeff = property(attrgetter("_lead_coeff"))
+
+    def __new__(cls, terms=(), eps: bool = False):
         terms = tuple(terms)
-        if eps and terms:
-            raise OrdinalError("epsilon_0 carries no terms")
+        if eps:
+            if terms:
+                raise OrdinalError("epsilon_0 carries no terms")
+            return EPSILON0
+        node = ZERO
         for exp, coeff in terms:
-            if not isinstance(exp, Ordinal) or exp.eps:
-                raise OrdinalError("exponents must be ordinals below epsilon_0")
-            if not isinstance(coeff, int) or coeff < 1:
-                raise OrdinalError("coefficients must be positive integers")
-        for i in range(len(terms) - 1):
-            if compare(terms[i][0], terms[i + 1][0]) is not Cmp.GREATER:
-                raise OrdinalError("exponents must strictly decrease")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "_hash", None)
+            node = _snoc_checked(node, exp, coeff)
+        return node
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Ordinal is immutable")
+    def __reduce__(self):
+        # rebuilt through the interning constructor, so a copy is the original
+        if self is EPSILON0:
+            return Ordinal, ((), True)
+        return _from_rows, (_rows(self),)
+
+    @property
+    def terms(self) -> tuple:
+        """The (exponent, coefficient) pairs, leading term first; O(length)."""
+        out = []
+        node = self
+        while node._length:
+            out.append((node._exp, node._coeff))
+            node = node._prefix
+        out.reverse()
+        return tuple(out)
+
+    @property
+    def eps(self) -> bool:
+        return self is EPSILON0
 
     def is_zero(self) -> bool:
-        return not self.eps and not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.eps == other.eps and self.terms == other.terms
+        return self is ZERO
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.eps, self.terms))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def __lt__(self, other):
         return compare(self, other) is Cmp.LESS
@@ -100,28 +138,132 @@ class Ordinal:
         return f"Ordinal({render_ordinal(self)!r})"
 
 
-_set_terms = Ordinal.terms.__set__
-_set_eps = Ordinal.eps.__set__
-_set_hash = Ordinal._hash.__set__
+_new = object.__new__
 
 
-def _mk(terms: tuple) -> Ordinal:
-    """Unchecked constructor for a terms tuple already in normal form.
-
-    For the arithmetic and descent below, whose results are in normal form by
-    construction; input from outside goes through the validating `Ordinal`.
-    """
-    o = object.__new__(Ordinal)
-    _set_terms(o, terms)
-    _set_eps(o, False)
-    _set_hash(o, None)
+def _constant(h: int, uid: int) -> Ordinal:
+    o = _new(Ordinal)
+    o._prefix = o._exp = o._lead_exp = o._text = None
+    o._coeff = o._length = o._lead_coeff = 0
+    o._hash = h
+    o._uid = uid
     return o
 
 
-ZERO = Ordinal()
-EPSILON0 = Ordinal(eps=True)
-ONE = Ordinal(((ZERO, 1),))
-OMEGA = Ordinal(((ONE, 1),))
+ZERO = _constant(hash((False, ())), 0)
+EPSILON0 = _constant(hash((True, ())), -1)
+
+
+class _Entry(weakref.ref):
+    """The intern table's weak reference to a node, with the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry):
+    # called as the node dies: the entry leaves the table with it
+    if _lookup(entry.key) is entry:
+        del _table[entry.key]
+
+
+# every node but ZERO and EPSILON0, keyed by the serial numbers of its prefix
+# and exponent and by its coefficient. Serial numbers are never reused, and
+# a node keeps its children alive, so a key names one node while it lives.
+# The table takes no lock: slowprov builds ordinals from one thread.
+_table = {}
+_lookup = _table.get
+_uids = count(1)
+
+
+def _snoc(prefix: Ordinal, exp: Ordinal, coeff: int) -> Ordinal:
+    """The one builder: prefix + w^exp * coeff, interned, unchecked.
+
+    The caller guarantees normal form (coeff >= 1, exp below epsilon_0 and
+    below the last exponent of prefix); input from outside goes through the
+    validating `Ordinal`.
+    """
+    key = (prefix._uid, exp._uid, coeff)
+    entry = _lookup(key)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            return node
+    node = _new(Ordinal)
+    node._prefix = prefix
+    node._exp = exp
+    node._coeff = coeff
+    if prefix is ZERO:
+        node._length = 1
+        node._lead_exp = exp
+        node._lead_coeff = coeff
+    else:
+        node._length = prefix._length + 1
+        node._lead_exp = prefix._lead_exp
+        node._lead_coeff = prefix._lead_coeff
+    node._hash = hash((prefix._hash, exp._hash, coeff))
+    node._uid = next(_uids)
+    node._text = None
+    entry = _Entry(node, _drop)
+    entry.key = key
+    _table[key] = entry
+    return node
+
+
+def _snoc_checked(prefix: Ordinal, exp: Ordinal, coeff: int) -> Ordinal:
+    if not isinstance(exp, Ordinal) or exp is EPSILON0:
+        raise OrdinalError("exponents must be ordinals below epsilon_0")
+    if not isinstance(coeff, int) or coeff < 1:
+        raise OrdinalError("coefficients must be positive integers")
+    if prefix._length and compare(prefix._exp, exp) is not Cmp.GREATER:
+        raise OrdinalError("exponents must strictly decrease")
+    return _snoc(prefix, exp, coeff)
+
+
+def _extend(prefix: Ordinal, terms) -> Ordinal:
+    for exp, coeff in terms:
+        prefix = _snoc(prefix, exp, coeff)
+    return prefix
+
+
+def _lower(a: Ordinal) -> Ordinal:
+    """a with its last coefficient lowered by one (the last term dropped at 1)."""
+    if a._coeff > 1:
+        return _snoc(a._prefix, a._exp, a._coeff - 1)
+    return a._prefix
+
+
+def _rows(a: Ordinal) -> tuple:
+    """The distinct nodes under a, children first, as (prefix, exp, coeff) rows.
+
+    Row i+1 describes the i-th node; index 0 stands for ZERO.
+    """
+    index = {ZERO: 0}
+    rows = []
+    stack = [a]
+    while stack:
+        x = stack[-1]
+        if x in index:
+            stack.pop()
+            continue
+        missing = [c for c in (x._prefix, x._exp) if c not in index]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        rows.append((index[x._prefix], index[x._exp], x._coeff))
+        index[x] = len(rows)
+    return tuple(rows)
+
+
+def _from_rows(rows) -> Ordinal:
+    built = [ZERO]
+    for p, e, c in rows:
+        built.append(_snoc_checked(built[p], built[e], c))
+    return built[-1]
+
+
+ONE = _snoc(ZERO, ZERO, 1)
+OMEGA = _snoc(ZERO, ONE, 1)
 
 
 def from_int(n: int) -> Ordinal:
@@ -133,61 +275,78 @@ def from_int(n: int) -> Ordinal:
 
 
 def compare(a: Ordinal, b: Ordinal) -> Cmp:
-    """Three-way comparison; total on all representable ordinals."""
-    if a is b:
-        return Cmp.EQUAL
-    if a.eps or b.eps:
-        if a.eps and b.eps:
+    """Three-way comparison; total on all representable ordinals.
+
+    The first term where a and b differ decides. Equal ordinals are one
+    object, so the terms before it are one shared prefix node, and where
+    its exponents differ they decide alone: the loop moves into them
+    instead of recursing.
+    """
+    while True:
+        if a is b:
             return Cmp.EQUAL
-        return Cmp.GREATER if a.eps else Cmp.LESS
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c is not Cmp.EQUAL:
-            return c
-        if ca != cb:
-            return Cmp.GREATER if ca > cb else Cmp.LESS
-    if len(a.terms) != len(b.terms):
-        return Cmp.GREATER if len(a.terms) > len(b.terms) else Cmp.LESS
-    return Cmp.EQUAL
+        if a is EPSILON0 or b is EPSILON0:
+            return Cmp.GREATER if a is EPSILON0 else Cmp.LESS
+        la, lb = a._length, b._length
+        if not la or not lb:
+            return Cmp.GREATER if la else Cmp.LESS
+        if a._lead_exp is not b._lead_exp:
+            a, b = a._lead_exp, b._lead_exp
+            continue
+        if a._lead_coeff != b._lead_coeff:
+            return Cmp.GREATER if a._lead_coeff > b._lead_coeff else Cmp.LESS
+        # equal leading terms: cut both to the shorter length, then walk
+        # back to the first term where they differ
+        x, y = a, b
+        for _ in range(la - lb):
+            x = x._prefix
+        for _ in range(lb - la):
+            y = y._prefix
+        if x is y:
+            return Cmp.GREATER if la > lb else Cmp.LESS
+        while x._prefix is not y._prefix:
+            x, y = x._prefix, y._prefix
+        if x._exp is y._exp:
+            return Cmp.GREATER if x._coeff > y._coeff else Cmp.LESS
+        a, b = x._exp, y._exp
 
 
 def _reject_eps(*os: Ordinal):
     for o in os:
-        if o.eps:
+        if o is EPSILON0:
             raise ArithmeticWithEpsilonZero("arithmetic on epsilon_0 is not defined here")
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     _reject_eps(a, b)
-    if b.is_zero():
+    if b is ZERO:
         return a
-    if a.is_zero():
+    lead = b._lead_exp
+    # the terms of a below b's leading exponent are absorbed
+    kept = a
+    while kept is not ZERO and compare(kept._exp, lead) is Cmp.LESS:
+        kept = kept._prefix
+    if kept is ZERO:
         return b
-    lead = b.terms[0][0]
-    kept = []
-    for exp, coeff in a.terms:
-        c = compare(exp, lead)
-        if c is Cmp.GREATER:
-            kept.append((exp, coeff))
-        elif c is Cmp.EQUAL:
-            kept.append((exp, coeff + b.terms[0][1]))
-            return _mk(tuple(kept) + b.terms[1:])
-        else:
-            break
-    return _mk(tuple(kept) + b.terms)
+    rest = b.terms
+    if kept._exp is lead:
+        kept = _snoc(kept._prefix, lead, kept._coeff + b._lead_coeff)
+        rest = rest[1:]
+    return _extend(kept, rest)
 
 
 def mul(a: Ordinal, b: Ordinal) -> Ordinal:
     _reject_eps(a, b)
-    if a.is_zero() or b.is_zero():
+    if a is ZERO or b is ZERO:
         return ZERO
+    lead_exp, lead_coeff = a._lead_exp, a._lead_coeff
+    tail = a.terms[1:]
     acc = ZERO
     for exp, coeff in b.terms:
-        if exp.is_zero():
-            lead_exp, lead_coeff = a.terms[0]
-            part = _mk(((lead_exp, lead_coeff * coeff),) + a.terms[1:])
+        if exp is ZERO:
+            part = _extend(_snoc(ZERO, lead_exp, lead_coeff * coeff), tail)
         else:
-            part = _mk(((add(a.terms[0][0], exp), coeff),))
+            part = _snoc(ZERO, add(lead_exp, exp), coeff)
         acc = add(acc, part)
     return acc
 
@@ -195,7 +354,7 @@ def mul(a: Ordinal, b: Ordinal) -> Ordinal:
 def omega_pow(a: Ordinal) -> Ordinal:
     """omega raised to a. Rejects epsilon_0 (the result would leave CNF)."""
     _reject_eps(a)
-    return Ordinal(((a, 1),))
+    return _snoc(ZERO, a, 1)
 
 
 def omega_tower(base: Ordinal, height: int) -> Ordinal:
@@ -216,18 +375,13 @@ class OrdKind(Enum):
 
 def classify(a: Ordinal):
     """Return (kind, predecessor); predecessor is None except for successors."""
-    if a.eps:
+    if a is EPSILON0:
         return OrdKind.LIMIT, None
-    if not a.terms:
+    if a is ZERO:
         return OrdKind.ZERO, None
-    exp, coeff = a.terms[-1]
-    if not exp.is_zero():
+    if a._exp is not ZERO:
         return OrdKind.LIMIT, None
-    if coeff > 1:
-        pred = _mk(a.terms[:-1] + ((exp, coeff - 1),))
-    else:
-        pred = _mk(a.terms[:-1])
-    return OrdKind.SUCCESSOR, pred
+    return OrdKind.SUCCESSOR, _lower(a)
 
 
 def fund_seq(lam: Ordinal, n: int) -> Ordinal:
@@ -239,28 +393,20 @@ def fund_seq(lam: Ordinal, n: int) -> Ordinal:
     """
     if not isinstance(n, int) or n < 0:
         raise OrdinalError("sequence index must be a nonnegative integer")
-    if lam.eps:
+    if lam is EPSILON0:
         return omega_tower(ONE, n + 1)
-    kind, _ = classify(lam)
-    if kind is not OrdKind.LIMIT:
+    if lam is ZERO or lam._exp is ZERO:
         raise NotALimit(f"{render_ordinal(lam)} is not a limit ordinal")
-    # Iterative descent along the chain of last exponents, then rebuild.
-    frames = []
+    # walk down the chain of last exponents to the first successor one, then
+    # rebuild that chain alone; every prefix is shared with lam
+    chain = []
     cur = lam
-    while True:
-        prefix = cur.terms[:-1]
-        ak, c = cur.terms[-1]
-        k, pred = classify(ak)
-        if k is OrdKind.SUCCESSOR:
-            base = prefix + (((ak, c - 1),) if c > 1 else ())
-            val = _mk(base + ((pred, n + 1),))
-            break
-        frames.append((prefix, ak, c))
-        cur = ak
-    while frames:
-        prefix, ak, c = frames.pop()
-        base = prefix + (((ak, c - 1),) if c > 1 else ())
-        val = _mk(base + ((val, 1),))
+    while cur._exp._exp is not ZERO:
+        chain.append(cur)
+        cur = cur._exp
+    val = _snoc(_lower(cur), _lower(cur._exp), n + 1)
+    for cur in reversed(chain):
+        val = _snoc(_lower(cur), val, 1)
     return val
 
 
@@ -366,88 +512,190 @@ class _Scanner:
 
 def parse_ordinal(text: str) -> Ordinal:
     s = _Scanner(text)
-    result = _parse_ord(s, top=True)
+    result = _parse_ord(s)
     s.skip_ws()
     if s.pos != len(s.text):
         raise ParseError("trailing input", s.pos)
     return result
 
 
-def _parse_ord(s: _Scanner, top: bool = False) -> Ordinal:
-    ch = s.peek()
-    if ch == "0":
-        s.pos += 1
-        return ZERO
-    if ch == "e":
-        if not top:
-            raise ParseError("e0 may only stand alone", s.pos)
-        s.pos += 1
-        s.expect("0")
-        return EPSILON0
-    acc = _parse_term(s)
-    while s.take("+"):
-        acc = add(acc, _parse_term(s))
-    return acc
+def _parse_ord(s: _Scanner) -> Ordinal:
+    """Read one ord. A "w^(" pushes the sum read so far around it and starts
+    the inner ord; its ")" pops that sum and finishes the term."""
+    sums = []
+    while True:
+        # the start of an ord
+        ch = s.peek()
+        value = None
+        if ch == "0":
+            s.pos += 1
+            value = ZERO
+        elif ch == "e":
+            if sums:
+                raise ParseError("e0 may only stand alone", s.pos)
+            s.pos += 1
+            s.expect("0")
+            return EPSILON0
+        acc = ZERO
+        while True:
+            if value is None:
+                term = _parse_term(s)
+                if term is None:
+                    sums.append(acc)
+                    break
+                acc = add(acc, term)
+            elif not sums:
+                return value
+            else:
+                s.expect(")")
+                acc = add(sums.pop(), _power(s, value))
+            value = None if s.take("+") else acc
 
 
-def _parse_term(s: _Scanner) -> Ordinal:
+def _parse_term(s: _Scanner):
+    """One term, or None once "w^(" is read and an inner ord is due."""
     ch = s.peek()
     if ch == "w":
         s.pos += 1
         exp = ONE
         if s.take("^"):
-            exp = _parse_atom(s)
-        coeff = 1
-        if s.take("*"):
-            coeff = s.nat()
-        return Ordinal(((exp, coeff),))
+            ch = s.peek()
+            if ch == "(":
+                s.pos += 1
+                return None
+            if ch == "w":
+                s.pos += 1
+                exp = OMEGA
+            elif ch.isdigit():
+                exp = from_int(s.nat())
+            else:
+                raise ParseError("expected an exponent", s.pos)
+        return _power(s, exp)
     if ch.isdigit():
         return from_int(s.nat())
     raise ParseError("expected a term", s.pos)
 
 
-def _parse_atom(s: _Scanner) -> Ordinal:
-    ch = s.peek()
-    if ch == "w":
-        s.pos += 1
-        return OMEGA
-    if ch == "(":
-        s.pos += 1
-        inner = _parse_ord(s)
-        s.expect(")")
-        return inner
-    if ch.isdigit():
-        return from_int(s.nat())
-    raise ParseError("expected an exponent", s.pos)
+def _power(s: _Scanner, exp: Ordinal) -> Ordinal:
+    """w^exp with the optional "*" nat that follows it."""
+    coeff = s.nat() if s.take("*") else 1
+    return _snoc(ZERO, exp, coeff)
+
+
+# a node of at most this many terms, none with an exponent in parentheses,
+# keeps its text
+_FLAT_KEPT = 8
+
+
+def _term_text(exp: Ordinal, coeff: int):
+    """The text of the term w^exp * coeff, or None if exp needs parentheses."""
+    if exp is ZERO:
+        return str(coeff)
+    # bare forms in exponent position: w itself and plain naturals
+    if exp is ONE:
+        head = "w"
+    elif exp is OMEGA:
+        head = "w^w"
+    elif exp._length == 1 and exp._exp is ZERO:
+        head = "w^" + str(exp._coeff)
+    else:
+        return None
+    return head if coeff == 1 else f"{head}*{coeff}"
+
+
+def _flat_text(x: Ordinal, limit: int):
+    """x's text if it has at most limit terms and no exponent in parentheses.
+
+    Such a text of at most _FLAT_KEPT terms is kept on x.
+    """
+    if x._length > limit:
+        return None
+    parts = []
+    node = x
+    while node is not ZERO:
+        term = _term_text(node._exp, node._coeff)
+        if term is None:
+            return None
+        parts.append(term)
+        node = node._prefix
+    parts.reverse()
+    text = " + ".join(parts)
+    if x._length <= _FLAT_KEPT:
+        x._text = text
+    return text
 
 
 def render_ordinal(a: Ordinal) -> str:
-    if a.eps:
+    """The text form, which parse_ordinal reads back.
+
+    The text is written out in pieces from an explicit stack, so no nesting
+    depth exhausts the recursion limit, and an exponent's text is never
+    copied into each enclosing level. A node met under two different nodes
+    (an exponent used twice, or a prefix that two sums share, as along a
+    long descent) is written out once and its text reused, so Python work
+    follows the number of distinct nodes, not the length of the output. A
+    short node with no exponent in parentheses keeps its text, for the
+    ordinals of a descent, which share most of their exponents.
+    """
+    if a is EPSILON0:
         return "e0"
-    if not a.terms:
+    if a is ZERO:
         return "0"
-    parts = []
-    for exp, coeff in a.terms:
-        parts.append(_render_term(exp, coeff))
-    return " + ".join(parts)
-
-
-def _render_term(exp: Ordinal, coeff: int) -> str:
-    if exp.is_zero():
-        return str(coeff)
-    if exp == ONE:
-        head = "w"
-    else:
-        head = "w^" + _render_atom(exp)
-    if coeff > 1:
-        head += f"*{coeff}"
-    return head
-
-
-def _render_atom(exp: Ordinal) -> str:
-    # bare forms allowed in exponent position: w itself and plain naturals
-    if exp == OMEGA:
-        return "w"
-    if len(exp.terms) == 1 and exp.terms[0][0].is_zero():
-        return str(exp.terms[0][1])
-    return "(" + render_ordinal(exp) + ")"
+    text = a._text or _flat_text(a, a._length)
+    if text is not None:
+        return text
+    out = []
+    texts = {}      # serial number -> text, for nodes met under two nodes
+    met = {}        # serial number -> that of the node it was first met under
+    starts = {}     # serial number -> where in out a node met twice begins
+    stack = [(a, 0)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        x, under = item
+        uid = x._uid
+        if under < 0:
+            # the end of a node met twice: join its pieces and keep them
+            start = starts.pop(uid)
+            text = "".join(out[start:])
+            del out[start:]
+            out.append(text)
+            texts[uid] = text
+            continue
+        text = texts.get(uid)
+        if text is not None:
+            out.append(text)
+            continue
+        if met.setdefault(uid, under) != under:
+            starts[uid] = len(out)
+            stack.append((x, -1))
+        # push x's terms from the last one back, so that they pop in order
+        node = x
+        while True:
+            exp, coeff = node._exp, node._coeff
+            term = _term_text(exp, coeff)
+            if term is not None:
+                stack.append(term)
+            else:
+                stack.append(")" if coeff == 1 else f")*{coeff}")
+                text = exp._text or texts.get(exp._uid) or _flat_text(exp, _FLAT_KEPT)
+                if text is None:
+                    stack.append((exp, node._uid))
+                else:
+                    stack.append(text)
+                stack.append("w^(")
+            prefix = node._prefix
+            if prefix is ZERO:
+                break
+            stack.append(" + ")
+            text = texts.get(prefix._uid)
+            if text is not None:
+                stack.append(text)
+                break
+            if met.setdefault(prefix._uid, node._uid) != node._uid:
+                stack.append((prefix, node._uid))
+                break
+            node = prefix
+    return "".join(out)

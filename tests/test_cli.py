@@ -234,6 +234,27 @@ class TestJsonMode:
         assert len(lines) == 1
         return code, json.loads(lines[0])
 
+    # each nesting level once cost Python recursion frames in the parser,
+    # compare and render, so these ended in a RecursionError traceback
+    @staticmethod
+    def tower(height):
+        return "w^(" * (height - 2) + "w^w" + ")" * (height - 2)
+
+    @pytest.mark.parametrize("n", [330, 5000])
+    def test_deep_fundseq(self, capsys, n):
+        code, rec = self.single_record(capsys, "ord", "fundseq", "e0", str(n))
+        assert code == 0 and rec == {"result": self.tower(n + 1)}
+
+    @pytest.mark.parametrize("n", [400, 5000])
+    def test_deep_stepdown(self, capsys, n):
+        code, rec = self.single_record(capsys, "ord", "stepdown", "e0", str(n), "--max-steps", "2")
+        assert code == 0 and rec["verdict"] == "STOPPED" and rec["steps"] == 2
+
+    @pytest.mark.parametrize("height", [400, 5000])
+    def test_deep_cmp(self, capsys, height):
+        code, rec = self.single_record(capsys, "ord", "cmp", self.tower(height), "w")
+        assert code == 0 and rec == {"result": "GT"}
+
     def test_eval_record(self, capsys):
         code, rec = self.single_record(capsys, "fgh", "eval", "2", "4")
         assert code == 0
@@ -326,9 +347,9 @@ class TestUsageErrorsWithoutJson:
 
 # --- argv fuzz --------------------------------------------------------------
 
-# One step of the machine or of a stepdown costs more as the ordinal grows
-# (e0 at 300 spends seconds on 10^4 steps), so the caps stay well below
-# their defaults and every example finishes quickly.
+# A step of the machine or of a stepdown costs time in the nesting depth of
+# the ordinal, not its size, but e0 at n still nests n levels deep and its
+# steps render long ordinals; the caps keep every example within a second.
 _BAD_INTS = ["x", "", "1.5", "0x1f", "7e2", "-", "-3"]
 _NUMS = st.one_of(st.integers(0, 300).map(str), st.sampled_from(_BAD_INTS))
 _ORDS = st.sampled_from(["0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^w",
@@ -344,7 +365,7 @@ _COMMANDS = st.one_of(
     st.tuples(st.just("ord"), st.sampled_from(["cmp", "add", "mul"]), _ORDS, _ORDS),
     st.tuples(st.just("ord"), st.just("fundseq"), _ORDS, _NUMS),
     st.tuples(st.just("ord"), st.just("stepdown"), _ORDS, _NUMS, st.just("--target"), _ORDS,
-              st.just("--max-steps"), st.one_of(st.integers(0, 300).map(str),
+              st.just("--max-steps"), st.one_of(st.integers(0, 1000).map(str),
                                                 st.sampled_from(_BAD_INTS))),
     st.tuples(st.just("fgh"), st.just("eval"), _ORDS, _NUMS),
     st.tuples(st.just("fgh"), st.just("cmpto"), _ORDS, _NUMS,
@@ -362,7 +383,7 @@ _COMMANDS = st.one_of(
 @st.composite
 def _argvs(draw):
     flags = draw(st.lists(st.sampled_from(["--json", "--strict", "--bits"]), unique=True))
-    caps = ["--stepcap", draw(st.one_of(st.integers(1, 500).map(str), st.sampled_from(_BAD_INTS))),
+    caps = ["--stepcap", draw(st.one_of(st.integers(1, 2000).map(str), st.sampled_from(_BAD_INTS))),
             "--bitcap", draw(st.one_of(st.integers(1, 2 ** 16).map(str), st.sampled_from(_BAD_INTS)))]
     command = draw(_COMMANDS)
     keep = draw(st.integers(0, len(command)))

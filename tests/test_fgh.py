@@ -107,6 +107,22 @@ def test_limit_step_is_one_step_then_its_fundamental_sequence():
         == BudgetExceeded(1, 3)
 
 
+def test_step_cost_does_not_grow_with_the_ordinal():
+    # F at e0 of 3 builds an ordinal of thousands of terms; a step rebuilds
+    # only its chain of last exponents, so four times the steps take about
+    # four times as long (about 26 times when each step copied the ordinal)
+    def seconds(steps):
+        start = time.perf_counter()
+        got = eval_F(EPSILON0, 3, EvalBudget(2 ** 29, steps))
+        elapsed = time.perf_counter() - start
+        assert got == BudgetExceeded(steps, 2)
+        return elapsed
+
+    small = min(seconds(10 ** 4) for _ in range(3))
+    large = min(seconds(4 * 10 ** 4) for _ in range(2))
+    assert large / small < 8
+
+
 def test_shift_bits_matches_its_definition():
     for v in range(5000):
         for k in range(12):

@@ -1,6 +1,9 @@
 """Ordinal arithmetic, text form, fundamental sequences, stepdown walks."""
 
+import copy
+import gc
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +37,7 @@ from slowprov.ordinal import (
     stepdown_one,
     stepdown_path,
 )
+from slowprov import ordinal as ordinal_module
 from slowprov.oracles import oracle_ord_add, oracle_ord_cmp, oracle_ord_mul
 
 p = parse_ordinal
@@ -397,3 +401,119 @@ def test_stepdown_exp_instance():
         assert isinstance(stepdown_path(a, n, b, 10_000), Reached)
         assert isinstance(stepdown_path(omega_pow(a), n, ZERO, 100_000), Reached)
         assert isinstance(stepdown_path(omega_pow(a), n, omega_pow(b), 100_000), Reached)
+
+
+# --- representation: interning, nesting depth, copies -----------------------
+
+DEPTH = 5000
+
+
+def _tower_text(height):
+    """The text of omega_tower(ONE, height) for height >= 2."""
+    return "w^(" * (height - 2) + "w^w" + ")" * (height - 2)
+
+
+def test_equal_ordinals_are_one_object():
+    assert p("w^2 + 3") is Ordinal(((from_int(2), 1), (ZERO, 3)))
+    assert add(OMEGA, ONE) is p("w+1")
+    assert Ordinal(eps=True) is EPSILON0
+    assert p("w^w + w*2 + 3").terms == ((OMEGA, 1), (ONE, 2), (ZERO, 3))
+
+
+def test_operations_at_depth_5000():
+    a = omega_tower(ONE, DEPTH)
+    b = omega_tower(ONE, DEPTH)
+    assert a is b and a == b and hash(a) == hash(b)
+    assert compare(a, omega_tower(ONE, DEPTH + 1)) is Cmp.LESS
+    # the towers differ only at the bottom, DEPTH levels down
+    assert compare(omega_tower(from_int(2), DEPTH), a) is Cmp.GREATER
+    assert compare(add(a, ONE), a) is Cmp.GREATER
+    assert a < EPSILON0
+    assert fund_seq(EPSILON0, DEPTH - 1) is a
+    assert classify(a) == (OrdKind.LIMIT, None)
+    assert fund_seq(a, 2) is omega_tower(from_int(3), DEPTH - 1)
+    walk = stepdown_path(EPSILON0, DEPTH, ZERO, 3)
+    assert isinstance(walk, StepBudgetExceeded) and walk.partial_path[1] is omega_tower(ONE, DEPTH + 1)
+
+
+def test_render_parse_roundtrip_at_depth_5000():
+    a = omega_tower(ONE, DEPTH)
+    text = _tower_text(DEPTH)
+    assert r(a) == text
+    assert p(text) is a
+    # sums at every level, so each exponent in parentheses has several terms
+    b = ONE
+    for k in range(DEPTH):
+        b = add(omega_pow(b), from_int(k % 3 + 1))
+    assert p(r(b)) is b
+    assert repr(b).startswith("Ordinal('w^(w^(")
+
+
+def test_render_shares_exponent_prefixes():
+    # the exponents of a long descent share their prefixes; the text must be
+    # the plain sum of each exponent's text all the same
+    walk = stepdown_path(p("w^(w^w)"), 12, ZERO, 400)
+    for x in walk.partial_path[::40]:
+        assert r(x) == " + ".join(_render_term_plainly(e, c) for e, c in x.terms)
+        assert p(r(x)) is x
+
+
+def test_render_keeps_no_text_per_nesting_level():
+    # e0 at 300 nests about 300 levels deep, each one exponent used once; a
+    # text kept per level would hold the output about 300 times over
+    last = stepdown_path(EPSILON0, 300, ZERO, 1000).partial_path[-1]
+    text = r(last)
+    assert len(text) > 10 ** 6
+    kept = [ref() for ref in list(ordinal_module._table.values())]
+    assert sum(len(x._text) for x in kept if x is not None and x._text) < len(text)
+
+
+def _render_term_plainly(exp, coeff):
+    if exp is ZERO:
+        return str(coeff)
+    if exp is ONE:
+        head = "w"
+    elif exp is OMEGA or (exp.length == 1 and exp.exp is ZERO):
+        head = "w^" + r(exp)
+    else:
+        head = "w^(" + " + ".join(_render_term_plainly(e, c) for e, c in exp.terms) + ")"
+    return head if coeff == 1 else f"{head}*{coeff}"
+
+
+def test_copies_are_the_same_object():
+    deep = omega_tower(ONE, DEPTH)
+    for a in SAMPLE + [EPSILON0, ZERO, deep, p("w^(w^w + 1)*3 + w^w + 2")]:
+        assert pickle.loads(pickle.dumps(a)) is a
+        assert copy.copy(a) is a
+        assert copy.deepcopy(a) is a
+    walk = stepdown_path(p("w^2"), 2, ZERO, 100)
+    assert copy.deepcopy(walk) == walk
+    assert all(x is y for x, y in zip(copy.deepcopy(walk).path, walk.path))
+
+
+class _Forged:
+    """Pickles as an ordinal's rows, which may be out of normal form."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __reduce__(self):
+        return ordinal_module._from_rows, (self.rows,)
+
+
+def test_unpickling_checks_normal_form():
+    assert pickle.loads(pickle.dumps(_Forged(((0, 0, 1), (0, 1, 2))))) is p("w*2")
+    for rows in [((0, 0, 1), (0, 1, 0)),    # zero coefficient
+                 ((0, 0, 1), (1, 0, 1))]:   # 1 + 1 is not in normal form
+        with pytest.raises(OrdinalError):
+            pickle.loads(pickle.dumps(_Forged(rows)))
+
+
+def test_intern_table_drops_what_nothing_holds():
+    gc.collect()
+    before = len(ordinal_module._table)
+    walk = stepdown_path(EPSILON0, 3, ZERO, 10 ** 4)
+    assert len(ordinal_module._table) > before + 10 ** 4
+    del walk
+    gc.collect()
+    assert len(ordinal_module._table) <= before + 100
