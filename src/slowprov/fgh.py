@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .ordinal import (
     EPSILON0,
     ONE,
+    ZERO,
     OrdKind,
     Ordinal,
     classify,
@@ -157,7 +158,7 @@ def _run(stack, v: int, budget: EvalBudget, threshold=None):
                 return GT()
 
         elif kind is OrdKind.SUCCESSOR:
-            if not pred.is_zero():
+            if pred is not ZERO:
                 # the run about to be pushed applies an index >= 1 at least
                 # v+1 times, so the result is at least the F_1 tower
                 # 2^(v+1)*(v+1)-1 of v+1+bits(v) bits. Once v itself reaches
@@ -248,12 +249,12 @@ def _plainly_above(alpha: Ordinal, n: int, threshold: int) -> bool:
     if n < 1 or alpha.is_zero():
         return False
     finite = alpha.length == 1 and alpha.exp.is_zero()
-    if finite and alpha.coeff < 2:
+    if finite and alpha.lead_coeff < 2:
         return False
     thr_bits = threshold.bit_length()
     if _shift_bits(n, n + 1) > thr_bits:
         return True
-    if (alpha.coeff < 3) if finite else (n < 2):
+    if (alpha.lead_coeff < 3) if finite else (n < 2):
         return False
     y = ((n + 1) << (n + 1)) - 1
     return y >= thr_bits or _shift_bits(y, y + 1) > thr_bits

@@ -10,10 +10,11 @@ where `prefix` is the ordinal of all terms but the last, `exp` and `coeff`
 are the last term, `length` counts the terms and `lead_exp` and `lead_coeff`
 are the leading term. ZERO is the empty list; EPSILON0 is a separate
 singleton. One builder, `_snoc`, interns every node in a table keyed by
-(prefix, exp, coeff) that holds its nodes weakly, so equal ordinals are the
-same object: `==` is identity, the hash is computed once from the
-children's, and an ordinal nothing refers to leaves the table. The public
-`Ordinal(...)` validates its input and returns the interned node.
+its prefix, exponent and coefficient that holds its nodes weakly, so equal
+ordinals are the same object: `==` is identity, the hash is computed once,
+on first use, from the children's, and an ordinal nothing refers to leaves
+the table. The public `Ordinal(...)` validates its input and returns the
+interned node.
 
 The last-term operations (`classify`, `fund_seq`, `stepdown_one`) rebuild
 only the chain of last exponents, so a descent step costs O(nesting depth),
@@ -120,7 +121,8 @@ class Ordinal:
         return self is ZERO
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        return _fill_hashes(self) if h is None else h
 
     def __lt__(self, other):
         return compare(self, other) is Cmp.LESS
@@ -200,13 +202,28 @@ def _snoc(prefix: Ordinal, exp: Ordinal, coeff: int) -> Ordinal:
         node._length = prefix._length + 1
         node._lead_exp = prefix._lead_exp
         node._lead_coeff = prefix._lead_coeff
-    node._hash = hash((prefix._hash, exp._hash, coeff))
+    node._hash = None
     node._uid = next(_uids)
     node._text = None
     entry = _Entry(node, _drop)
     entry.key = key
     _table[key] = entry
     return node
+
+
+def _fill_hashes(a: Ordinal) -> int:
+    """a's hash, from its children's, computed on first use for a and for
+    every node under it that lacks one, children first."""
+    stack = [a]
+    while stack:
+        x = stack[-1]
+        todo = [c for c in (x._prefix, x._exp) if c._hash is None]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        x._hash = hash((x._prefix._hash, x._exp._hash, x._coeff))
+    return a._hash
 
 
 def _snoc_checked(prefix: Ordinal, exp: Ordinal, coeff: int) -> Ordinal:
