@@ -248,7 +248,7 @@ def _plainly_above(alpha: Ordinal, n: int, threshold: int) -> bool:
     """
     if n < 1 or alpha.is_zero():
         return False
-    finite = alpha.length == 1 and alpha.exp.is_zero()
+    finite = alpha.length == 1 and alpha.exp is ZERO
     if finite and alpha.lead_coeff < 2:
         return False
     thr_bits = threshold.bit_length()
