@@ -11,10 +11,9 @@ are the last term, `length` counts the terms and `lead_exp` and `lead_coeff`
 are the leading term. ZERO is the empty list; EPSILON0 is a separate
 singleton. One builder, `_snoc`, interns every node in a table keyed by
 its prefix, exponent and coefficient that holds its nodes weakly, so equal
-ordinals are the same object: `==` is identity, the hash is computed once,
-on first use, from the children's, and an ordinal nothing refers to leaves
-the table. The public `Ordinal(...)` validates its input and returns the
-interned node.
+ordinals are the same object: identity is the one equality and the one
+hash, and an ordinal nothing refers to leaves the table. The public
+`Ordinal(...)` validates its input and returns the interned node.
 
 The last-term operations (`classify`, `fund_seq`, `stepdown_one`) rebuild
 only the chain of last exponents, so a descent step costs O(nesting depth),
@@ -29,7 +28,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
 from operator import attrgetter
 
 
@@ -62,7 +60,8 @@ class Cmp(Enum):
 
 
 class Ordinal:
-    """An ordinal <= epsilon_0, interned: equal ordinals are one object.
+    """An ordinal <= epsilon_0, interned: equal ordinals are one object, so
+    `==` and `hash` are those of the object itself.
 
     A nonzero ordinal below epsilon_0 is `prefix + w^exp * coeff` with
     `length` terms, the first of which is `w^lead_exp * lead_coeff`. ZERO and
@@ -75,8 +74,8 @@ class Ordinal:
     EPSILON0.
     """
 
-    __slots__ = ("_prefix", "_exp", "_coeff", "_length", "_lead_exp", "_lead_coeff", "_hash",
-                 "_uid", "_text", "__weakref__")
+    __slots__ = ("_prefix", "_exp", "_coeff", "_length", "_lead_exp", "_lead_coeff",
+                 "_text", "__weakref__")
 
     prefix = property(attrgetter("_prefix"))
     exp = property(attrgetter("_exp"))
@@ -120,10 +119,6 @@ class Ordinal:
     def is_zero(self) -> bool:
         return self is ZERO
 
-    def __hash__(self):
-        h = self._hash
-        return _fill_hashes(self) if h is None else h
-
     def __lt__(self, other):
         return compare(self, other) is Cmp.LESS
 
@@ -143,17 +138,15 @@ class Ordinal:
 _new = object.__new__
 
 
-def _constant(h: int, uid: int) -> Ordinal:
+def _constant() -> Ordinal:
     o = _new(Ordinal)
     o._prefix = o._exp = o._lead_exp = o._text = None
     o._coeff = o._length = o._lead_coeff = 0
-    o._hash = h
-    o._uid = uid
     return o
 
 
-ZERO = _constant(hash((False, ())), 0)
-EPSILON0 = _constant(hash((True, ())), -1)
+ZERO = _constant()
+EPSILON0 = _constant()
 
 
 class _Entry(weakref.ref):
@@ -168,13 +161,12 @@ def _drop(entry: _Entry):
         del _table[entry.key]
 
 
-# every node but ZERO and EPSILON0, keyed by the serial numbers of its prefix
-# and exponent and by its coefficient. Serial numbers are never reused, and
-# a node keeps its children alive, so a key names one node while it lives.
-# The table takes no lock: slowprov builds ordinals from one thread.
+# every node but ZERO and EPSILON0, keyed by its prefix, exponent and
+# coefficient. A node keeps its children alive, so a key names one node
+# while it lives. The table takes no lock: slowprov builds ordinals from
+# one thread.
 _table = {}
 _lookup = _table.get
-_uids = count(1)
 
 
 def _snoc(prefix: Ordinal, exp: Ordinal, coeff: int) -> Ordinal:
@@ -184,7 +176,7 @@ def _snoc(prefix: Ordinal, exp: Ordinal, coeff: int) -> Ordinal:
     below the last exponent of prefix); input from outside goes through the
     validating `Ordinal`.
     """
-    key = (prefix._uid, exp._uid, coeff)
+    key = (prefix, exp, coeff)
     entry = _lookup(key)
     if entry is not None:
         node = entry()
@@ -202,28 +194,11 @@ def _snoc(prefix: Ordinal, exp: Ordinal, coeff: int) -> Ordinal:
         node._length = prefix._length + 1
         node._lead_exp = prefix._lead_exp
         node._lead_coeff = prefix._lead_coeff
-    node._hash = None
-    node._uid = next(_uids)
     node._text = None
     entry = _Entry(node, _drop)
     entry.key = key
     _table[key] = entry
     return node
-
-
-def _fill_hashes(a: Ordinal) -> int:
-    """a's hash, from its children's, computed on first use for a and for
-    every node under it that lacks one, children first."""
-    stack = [a]
-    while stack:
-        x = stack[-1]
-        todo = [c for c in (x._prefix, x._exp) if c._hash is None]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        x._hash = hash((x._prefix._hash, x._exp._hash, x._coeff))
-    return a._hash
 
 
 def _snoc_checked(prefix: Ordinal, exp: Ordinal, coeff: int) -> Ordinal:
@@ -662,32 +637,32 @@ def render_ordinal(a: Ordinal) -> str:
     if text is not None:
         return text
     out = []
-    texts = {}      # serial number -> text, for nodes met under two nodes
-    met = {}        # serial number -> that of the node it was first met under
-    starts = {}     # serial number -> where in out a node met twice begins
-    stack = [(a, 0)]
+    texts = {}      # node -> text, for nodes met under two nodes
+    met = {}        # node -> the node it was first met under
+    starts = {}     # node -> where in out a node met twice begins
+    # the root counts as met under ZERO, which no other node is met under
+    stack = [(a, ZERO)]
     while stack:
         item = stack.pop()
         if item.__class__ is str:
             out.append(item)
             continue
         x, under = item
-        uid = x._uid
-        if under < 0:
+        if under is None:
             # the end of a node met twice: join its pieces and keep them
-            start = starts.pop(uid)
+            start = starts.pop(x)
             text = "".join(out[start:])
             del out[start:]
             out.append(text)
-            texts[uid] = text
+            texts[x] = text
             continue
-        text = texts.get(uid)
+        text = texts.get(x)
         if text is not None:
             out.append(text)
             continue
-        if met.setdefault(uid, under) != under:
-            starts[uid] = len(out)
-            stack.append((x, -1))
+        if met.setdefault(x, under) is not under:
+            starts[x] = len(out)
+            stack.append((x, None))
         # push x's terms from the last one back, so that they pop in order
         node = x
         while True:
@@ -697,9 +672,9 @@ def render_ordinal(a: Ordinal) -> str:
                 stack.append(term)
             else:
                 stack.append(")" if coeff == 1 else f")*{coeff}")
-                text = exp._text or texts.get(exp._uid) or _flat_text(exp, _FLAT_KEPT)
+                text = exp._text or texts.get(exp) or _flat_text(exp, _FLAT_KEPT)
                 if text is None:
-                    stack.append((exp, node._uid))
+                    stack.append((exp, node))
                 else:
                     stack.append(text)
                 stack.append("w^(")
@@ -707,12 +682,12 @@ def render_ordinal(a: Ordinal) -> str:
             if prefix is ZERO:
                 break
             stack.append(" + ")
-            text = texts.get(prefix._uid)
+            text = texts.get(prefix)
             if text is not None:
                 stack.append(text)
                 break
-            if met.setdefault(prefix._uid, node._uid) != node._uid:
-                stack.append((prefix, node._uid))
+            if met.setdefault(prefix, node) is not node:
+                stack.append((prefix, node))
                 break
             node = prefix
     return "".join(out)
