@@ -429,6 +429,8 @@ _SELF_CHECK_INSTANCES = (
 
 
 def _cmd_dev(cfg: GlobalConfig, ns) -> int:
+    if cfg.model_size < 1:
+        raise CliError(2, f"model size must be at least 1, got {cfg.model_size}")
     rng = random.Random(cfg.seed)
     checked = 0
     for text in _SELF_CHECK_INSTANCES:

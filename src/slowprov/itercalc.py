@@ -26,7 +26,6 @@ from enum import Enum
 
 from .ordinal import (
     Cmp,
-    EPSILON0,
     ONE,
     Ordinal,
     ZERO,

@@ -177,78 +177,88 @@ def _tokenize(text: str):
     return toks
 
 
+# A formula nests at most this deep: in connectives and modalities on any path
+# of its syntax tree, and in parentheses. Every recursive walk of a formula
+# stays inside Python's recursion limit at this depth.
+MAX_FORMULA_DEPTH = 100
+
+_PREFIX = {"~": Not, "[]": Box, "<>": Diamond, "[.]": Triangle, "<.>": Nabla}
+# binary connective -> (binding strength, node type, groups to the right)
+_INFIX = {"<->": (1, Iff, False), "->": (2, Implies, True),
+          "|": (3, Or, False), "&": (4, And, False)}
+
+
 class _Parser:
+    """Operator precedence over explicit stacks; each rule returns a formula
+    and its depth. Only a parenthesis recurses, two frames a level."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.parens = 0
 
     def peek(self):
         return self.toks[self.i][0]
-
-    def pos(self):
-        return self.toks[self.i][1]
 
     def next(self):
         tok = self.toks[self.i]
         self.i += 1
         return tok
 
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek() == "<->":
-            self.next()
-            f = Iff(f, self.imp())
-        return f
+    def formula(self):
+        parts = [self.unary()]
+        ops = []    # (strength, node type, position) of pending connectives
+        while True:
+            tok, pos = self.toks[self.i]
+            strength, cls, right = _INFIX.get(tok, (0, None, False))
+            # join the parts under every pending connective that binds harder
+            while ops and (ops[-1][0] > strength or ops[-1][0] == strength and not right):
+                _, op, at = ops.pop()
+                (g, e), (f, d) = parts.pop(), parts.pop()
+                parts.append((op(f, g), _deeper(max(d, e), at)))
+            if cls is None:
+                return parts[0]
+            self.i += 1
+            ops.append((strength, cls, pos))
+            parts.append(self.unary())
 
-    def imp(self) -> Formula:
-        f = self.disj()
-        if self.peek() == "->":
-            self.next()
-            return Implies(f, self.imp())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        wrap = {"~": Not, "[]": Box, "<>": Diamond, "[.]": Triangle, "<.>": Nabla}.get(tok)
-        if wrap is not None:
-            self.next()
-            return wrap(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
+    def unary(self):
+        wraps = []
+        while self.peek() in _PREFIX:
+            wraps.append(self.next())
         tok, pos = self.next()
         if tok == "(":
-            f = self.iff()
-            tok2, pos2 = self.next()
-            if tok2 != ")":
-                raise ParseError("expected ')'", pos2)
-            return f
-        if tok == "true":
-            return Top()
-        if tok == "false":
-            return Bot()
-        if tok and (tok[0].isalpha() or tok[0] == "_"):
-            return Var(tok)
-        raise ParseError("expected a formula", pos)
+            self.parens += 1
+            if self.parens > MAX_FORMULA_DEPTH:
+                raise ParseError(f"parentheses nest deeper than {MAX_FORMULA_DEPTH}", pos)
+            f, d = self.formula()
+            tok, pos = self.next()
+            if tok != ")":
+                raise ParseError("expected ')'", pos)
+            self.parens -= 1
+        elif tok == "true":
+            f, d = Top(), 0
+        elif tok == "false":
+            f, d = Bot(), 0
+        elif tok and (tok[0].isalpha() or tok[0] == "_"):
+            f, d = Var(tok), 0
+        else:
+            raise ParseError("expected a formula", pos)
+        for tok, pos in reversed(wraps):
+            f, d = _PREFIX[tok](f), _deeper(d, pos)
+        return f, d
+
+
+def _deeper(depth: int, pos: int) -> int:
+    """The depth of a node over a part of this depth, within the limit."""
+    if depth >= MAX_FORMULA_DEPTH:
+        raise ParseError(f"formula nests deeper than {MAX_FORMULA_DEPTH}", pos)
+    return depth + 1
 
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    f = p.iff()
+    f = p.formula()[0]
     tok, pos = p.next()
     if tok != "":
         raise ParseError("trailing input", pos)

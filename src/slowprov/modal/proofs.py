@@ -10,8 +10,7 @@ derivable and deliberately rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 from .formula import (
     BINARY,
@@ -23,6 +22,7 @@ from .formula import (
     Implies,
     Not,
     Or,
+    ParseError,
     Top,
     Triangle,
     Var,
@@ -72,51 +72,59 @@ TAUT_ATOM_CAP = 16
 
 # --- tautology checking -----------------------------------------------------
 
-def _atoms_of(f: Formula, acc: dict):
-    if isinstance(f, (Top, Bot)):
-        return
-    if isinstance(f, Not):
-        _atoms_of(f.body, acc)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        _atoms_of(f.left, acc)
-        _atoms_of(f.right, acc)
-    else:
-        acc[f] = None
-
-
-def _truth(f: Formula, env: dict) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Not):
-        return not _truth(f.body, env)
-    if isinstance(f, And):
-        return _truth(f.left, env) and _truth(f.right, env)
-    if isinstance(f, Or):
-        return _truth(f.left, env) or _truth(f.right, env)
-    if isinstance(f, Implies):
-        return (not _truth(f.left, env)) or _truth(f.right, env)
-    if isinstance(f, Iff):
-        return _truth(f.left, env) == _truth(f.right, env)
-    return env[f]
+# the connectives a truth table reads, with their arity, and the constants
+# as indices into the row masks: -1 is every row, -2 none
+_ARITY = {Not: 1, And: 2, Or: 2, Implies: 2, Iff: 2}
+_CONSTANT = {Top: -1, Bot: -2}
 
 
 def is_tautology(f: Formula) -> bool:
     """Propositional validity with modal subformulas opaque.
 
+    The atoms are the maximal non-boolean subformulas. With k of them, the
+    2^k rows of the truth table are the bits of one int, and atom i is true
+    in the rows whose bit i is set, so one pass over f evaluates every row.
     Raises ProofError past the atom cap; callers decide how to report it.
     """
-    acc = {}
-    _atoms_of(f, acc)
-    atoms = list(acc)
+    atoms = {}
+    prog = []   # f in prefix order: connectives, and row indices for the rest
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        arity = _ARITY.get(type(g))
+        if arity is None:
+            index = _CONSTANT.get(type(g))
+            prog.append(atoms.setdefault(g, len(atoms)) if index is None else index)
+            continue
+        prog.append(type(g))
+        if arity == 2:
+            todo.append(g.right)
+            todo.append(g.left)
+        else:
+            todo.append(g.body)
     if len(atoms) > TAUT_ATOM_CAP:
         raise ProofError(f"{len(atoms)} distinct atoms exceeds the "
                          f"{TAUT_ATOM_CAP}-atom tautology cap")
-    for bits in product((False, True), repeat=len(atoms)):
-        if not _truth(f, dict(zip(atoms, bits))):
-            return False
-    return True
+    full = (1 << (1 << len(atoms))) - 1
+    rows = [full ^ full // ((1 << (1 << i)) + 1) for i in range(len(atoms))] + [0, full]
+    vals = []
+    push, pop = vals.append, vals.pop
+    for op in reversed(prog):
+        if op.__class__ is int:
+            push(rows[op])
+        elif op is Not:
+            push(full ^ pop())
+        else:
+            x, y = pop(), pop()
+            if op is And:
+                push(x & y)
+            elif op is Or:
+                push(x | y)
+            elif op is Implies:
+                push(full ^ x | y)
+            else:
+                push(full ^ x ^ y)
+    return vals[0] == full
 
 
 # --- axiom schemas ----------------------------------------------------------
@@ -239,9 +247,14 @@ def proof_from_dict(d) -> ProofObject:
     for i, entry in enumerate(d["lines"], start=1):
         if not isinstance(entry, dict) or "formula" not in entry or "rule" not in entry:
             raise ProofError(f"line {i} needs 'formula' and 'rule'")
-        refs = entry.get("refs", [])
+        text, rule, refs = entry["formula"], entry["rule"], entry.get("refs", [])
+        if not isinstance(text, str) or not isinstance(rule, str):
+            raise ProofError(f"line {i}: 'formula' and 'rule' must be strings")
         if not isinstance(refs, list) or not all(type(r) is int for r in refs):
             raise ProofError(f"line {i}: refs must be a list of integers")
-        lines.append(ProofLine(parse_formula(entry["formula"]),
-                               entry["rule"], tuple(refs)))
+        try:
+            formula = parse_formula(text)
+        except ParseError as e:
+            raise ProofError(f"line {i}: bad formula {text!r}: {e}")
+        lines.append(ProofLine(formula, rule, tuple(refs)))
     return ProofObject(str(d["system"]), tuple(lines))

@@ -162,3 +162,19 @@ def random_formula(rng: random.Random, depth: int, box_only=False):
     ctor = (And, Or, Implies, Iff)[pick - len(unary)]
     return ctor(random_formula(rng, depth - 1, box_only),
                 random_formula(rng, depth - 1, box_only))
+
+
+# The five ways to nest a formula n levels deep: n parentheses around p, n
+# negations, n dotted boxes, n right-nested arrows and n left-nested
+# conjunctions. Each once overflowed Python's recursion limit.
+NESTINGS = ("parens", "not", "triangle", "implies", "and")
+
+
+def nested(shape: str, n: int) -> str:
+    if shape == "parens":
+        return "(" * n + "p" + ")" * n
+    if shape == "not":
+        return "~" * n + "p"
+    if shape == "triangle":
+        return "[.]" * n + "p"
+    return {"implies": " -> ", "and": " & "}[shape].join(["p"] * (n + 1))

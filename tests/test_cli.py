@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slowprov.cli import main
+from slowprov.modal.formula import MAX_FORMULA_DEPTH, render_formula
 from slowprov.modal.kripke import model_from_dict
 from slowprov.modal.proofs import proof_from_dict
+from modal_corpus import NESTINGS, nested, random_formula
 
 
 def run(capsys, *args):
@@ -277,6 +280,45 @@ class TestJsonMode:
         assert code == 0 and rec["verdict"] == "THEOREM"
         proof_from_dict(rec["proof"])
 
+    @pytest.mark.parametrize("formula", ["p ->", 5], ids=["unparsable", "not-a-string"])
+    def test_malformed_proof_formula_is_exit_2(self, capsys, tmp_path, formula):
+        path = tmp_path / "pf.json"
+        path.write_text(json.dumps({
+            "system": "GL", "lines": [{"formula": formula, "rule": "Taut"}]}))
+        code, rec = self.single_record(capsys, "modal", "checkproof", str(path))
+        assert code == 2
+        assert rec["exit"] == 2 and rec["error"].startswith("line 1: ")
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_oracles_below_one_world_is_exit_2(self, capsys, monkeypatch, size):
+        code, rec = self.single_record(capsys, "--max-model-size", size, "dev", "oracles")
+        assert code == 2 and rec == {"error": f"model size must be at least 1, got {size}",
+                                     "exit": 2}
+        monkeypatch.setenv("SLOWPROV_MODELSIZE", size)
+        assert self.single_record(capsys, "dev", "oracles") == (code, rec)
+
+    @pytest.mark.parametrize("shape, n", [("not", 2000), ("parens", 300)])
+    def test_too_deep_formula_is_exit_2(self, capsys, shape, n):
+        code, rec = self.single_record(capsys, "modal", "decide", "glt", nested(shape, n))
+        assert code == 2 and f"deeper than {MAX_FORMULA_DEPTH}" in rec["error"]
+
+    @pytest.mark.parametrize("shape", NESTINGS)
+    def test_formula_at_the_nesting_limit(self, capsys, tmp_path, shape):
+        text = nested(shape, MAX_FORMULA_DEPTH)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(VALID_MODEL))
+        proof = tmp_path / "pf.json"
+        proof.write_text(json.dumps({"system": "GLT", "lines": [{"formula": text, "rule": "Taut"}]}))
+        # gl2's proof search takes 5 to 11 s on the other three shapes: its
+        # last round tests a tautology for every pair of proved lines
+        systems = ("gl", "glt", "gl2") if shape in ("parens", "implies") else ("gl", "glt")
+        runs = [("--max-model-size", "1", "modal", "decide", system, text) for system in systems]
+        runs += [("modal", "eval", str(model), "a", text, "--sem", sem) for sem in ("gl", "glt", "gl2")]
+        runs += [("modal", "checkmodel", str(model), text), ("modal", "checkproof", str(proof))]
+        for args in runs:
+            code, rec = self.single_record(capsys, *args)
+            assert code == (4 if shape == "triangle" and "gl" in args else 0), (args, rec)
+
     def test_error_record(self, capsys):
         code, rec = self.single_record(capsys, "ord", "cmp", "w^", "w")
         assert code == 2
@@ -361,6 +403,17 @@ _ITER = st.builds(
                        st.sampled_from(["B", "S1", "S2", "R", "Q"]), _POWER), max_size=4),
     st.sampled_from(["p", "q1", "P", "^"]))
 
+_MODEL = "MODEL"    # the fuzz model file, swapped in by the test
+_FORMULAS = st.one_of(
+    st.sampled_from(["p", "[]p -> [.]p", "[]([]p -> p) -> []p", "<.>p -> <.>true",
+                     "p ->", "", "(p", "P", "5", nested("parens", MAX_FORMULA_DEPTH),
+                     nested("implies", MAX_FORMULA_DEPTH), nested("not", 2000),
+                     nested("parens", 300)]
+                    + [nested(shape, MAX_FORMULA_DEPTH + 1) for shape in NESTINGS]),
+    st.lists(st.sampled_from(["p", "q", "true", "false", "~", "[]", "<>", "[.]", "<.>",
+                              "&", "|", "->", "<->", "(", ")"]), max_size=12).map(" ".join),
+    st.integers(0, 2 ** 32).map(lambda seed: render_formula(random_formula(random.Random(seed), 3))))
+
 _COMMANDS = st.one_of(
     st.tuples(st.just("ord"), st.sampled_from(["cmp", "add", "mul"]), _ORDS, _ORDS),
     st.tuples(st.just("ord"), st.just("fundseq"), _ORDS, _NUMS),
@@ -375,6 +428,13 @@ _COMMANDS = st.one_of(
     st.tuples(st.just("iter"), st.just("normalize"), _ITER),
     st.tuples(st.just("iter"), st.just("normalize"), _ITER, st.just("--collapse-under-box")),
     st.tuples(st.just("iter"), st.just("entails"), _ITER, _ITER),
+    # gl sizes its search from the formula and ignores --max-model-size
+    st.tuples(st.just("modal"), st.just("decide"), st.sampled_from(["glt", "gl2"]), _FORMULAS),
+    st.tuples(st.just("modal"), st.just("eval"), st.sampled_from([_MODEL, "missing.json"]),
+              st.sampled_from(["a", "b", "zz"]), _FORMULAS, st.just("--sem"),
+              st.sampled_from(["gl", "glt", "gl2", "x"])),
+    st.tuples(st.just("modal"), st.just("checkmodel"), st.just(_MODEL), _FORMULAS),
+    st.tuples(st.just("dev"), st.just("oracles"), st.just("--count"), st.integers(0, 3).map(str)),
     st.tuples(st.sampled_from(["ord", "fgh", "iter", "nope"]),
               st.sampled_from(["foo", "eval", "cmp", "normalize"])),
 ).map(list)
@@ -384,7 +444,8 @@ _COMMANDS = st.one_of(
 def _argvs(draw):
     flags = draw(st.lists(st.sampled_from(["--json", "--strict", "--bits"]), unique=True))
     caps = ["--stepcap", draw(st.one_of(st.integers(1, 2000).map(str), st.sampled_from(_BAD_INTS))),
-            "--bitcap", draw(st.one_of(st.integers(1, 2 ** 16).map(str), st.sampled_from(_BAD_INTS)))]
+            "--bitcap", draw(st.one_of(st.integers(1, 2 ** 16).map(str), st.sampled_from(_BAD_INTS))),
+            "--max-model-size", draw(st.integers(-1, 2).map(str))]
     command = draw(_COMMANDS)
     keep = draw(st.integers(0, len(command)))
     if draw(st.booleans()):
@@ -392,9 +453,17 @@ def _argvs(draw):
     return flags + caps + command
 
 
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    path.write_text(json.dumps(VALID_MODEL))
+    return str(path)
+
+
 @given(_argvs())
 @settings(max_examples=150, deadline=None)
-def test_every_argv_ends_in_a_documented_exit(argv):
+def test_every_argv_ends_in_a_documented_exit(fuzz_model, argv):
+    argv = [fuzz_model if a == _MODEL else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from slowprov.modal.formula import (
+    MAX_FORMULA_DEPTH,
     And,
     Bot,
     Box,
@@ -23,7 +24,7 @@ from slowprov.modal.formula import (
     uses_triangle,
     variables_of,
 )
-from modal_corpus import random_formula
+from modal_corpus import NESTINGS, nested, random_formula
 
 P, Q = Var("p"), Var("q")
 
@@ -65,6 +66,16 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_formula("p & ")
     assert exc.value.pos == 4
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_nesting_limit_on_both_sides(shape):
+    f = parse_formula(nested(shape, MAX_FORMULA_DEPTH))
+    assert parse_formula(render_formula(f)) == f
+    assert subformulas(f)[-1] is f
+    for n in (MAX_FORMULA_DEPTH + 1, 2000):
+        with pytest.raises(ParseError, match="deeper than"):
+            parse_formula(nested(shape, n))
 
 
 def test_subformulas_ordering():
