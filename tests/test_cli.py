@@ -303,18 +303,16 @@ class TestJsonMode:
         assert code == 2 and f"deeper than {MAX_FORMULA_DEPTH}" in rec["error"]
 
     @pytest.mark.parametrize("shape", NESTINGS)
-    def test_formula_at_the_nesting_limit(self, capsys, tmp_path, shape):
+    def test_formula_at_the_nesting_limit(self, capsys, tmp_path, model_file, shape):
         text = nested(shape, MAX_FORMULA_DEPTH)
-        model = tmp_path / "m.json"
-        model.write_text(json.dumps(VALID_MODEL))
         proof = tmp_path / "pf.json"
         proof.write_text(json.dumps({"system": "GLT", "lines": [{"formula": text, "rule": "Taut"}]}))
         # gl2's proof search takes 5 to 11 s on the other three shapes: its
         # last round tests a tautology for every pair of proved lines
         systems = ("gl", "glt", "gl2") if shape in ("parens", "implies") else ("gl", "glt")
         runs = [("--max-model-size", "1", "modal", "decide", system, text) for system in systems]
-        runs += [("modal", "eval", str(model), "a", text, "--sem", sem) for sem in ("gl", "glt", "gl2")]
-        runs += [("modal", "checkmodel", str(model), text), ("modal", "checkproof", str(proof))]
+        runs += [("modal", "eval", model_file, "a", text, "--sem", sem) for sem in ("gl", "glt", "gl2")]
+        runs += [("modal", "checkmodel", model_file, text), ("modal", "checkproof", str(proof))]
         for args in runs:
             code, rec = self.single_record(capsys, *args)
             assert code == (4 if shape == "triangle" and "gl" in args else 0), (args, rec)
