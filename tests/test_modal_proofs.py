@@ -1,8 +1,11 @@
+import itertools
 import json
+import random
 
 import pytest
 
-from slowprov.modal.formula import parse_formula
+from slowprov.modal.formula import (BINARY, And, Bot, Iff, Implies, Not, Or, Top,
+                                    parse_formula)
 from slowprov.modal.proofs import (
     AXIOMS,
     SYSTEM_RULES,
@@ -20,6 +23,7 @@ from slowprov.modal.proofs import (
     proof_to_dict,
 )
 from slowprov.modal.prover import _TEMPLATES, prove
+from modal_corpus import random_formula
 
 pf = parse_formula
 
@@ -129,6 +133,44 @@ def test_tautology_checker():
     many = " | ".join(f"a{i}" for i in range(17))
     with pytest.raises(ProofError):
         is_tautology(pf(many))
+
+
+def _truth(f, env):
+    """The reference: f's truth value in one row, modal subformulas opaque."""
+    if isinstance(f, (Top, Bot)):
+        return isinstance(f, Top)
+    if isinstance(f, Not):
+        return not _truth(f.body, env)
+    if isinstance(f, BINARY):
+        x, y = _truth(f.left, env), _truth(f.right, env)
+        return {And: x and y, Or: x or y, Implies: not x or y, Iff: x == y}[type(f)]
+    return env[f]
+
+
+def _atoms(f, acc):
+    if isinstance(f, Not):
+        _atoms(f.body, acc)
+    elif isinstance(f, BINARY):
+        _atoms(f.left, acc)
+        _atoms(f.right, acc)
+    elif not isinstance(f, (Top, Bot)):
+        acc[f] = None
+    return list(acc)
+
+
+def test_tautology_checker_matches_row_by_row_reference():
+    rng = random.Random(11)
+    seen = 0
+    for _ in range(1500):
+        f = random_formula(rng, rng.randint(1, 5))
+        if rng.random() < 0.3:
+            f = Implies(f, Or(f, random_formula(rng, 2)))
+        atoms = _atoms(f, {})
+        want = all(_truth(f, dict(zip(atoms, row)))
+                   for row in itertools.product((False, True), repeat=len(atoms)))
+        assert is_tautology(f) == want, f
+        seen += want
+    assert seen > 300
 
 
 def test_dict_roundtrip():
