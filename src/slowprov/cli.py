@@ -38,34 +38,6 @@ from .fgh import (
 )
 from .itercalc import IterError, entails, normalize, parse_iter, render_iter
 from .itercalc import ParseError as IterParseError
-from .modal.decide import (
-    Countermodel,
-    Inconclusive,
-    Theorem,
-    ValidOnAllEnumerated,
-    gl2_decide,
-    gl_decide,
-    glt_decide,
-)
-from .modal.formula import ParseError as FormulaParseError
-from .modal.formula import parse_formula
-from .modal.kripke import (
-    GL,
-    GL2,
-    GLT,
-    ModelError,
-    Ok,
-    SemanticsMismatch,
-    eval_formula,
-    model_from_dict,
-    model_to_dict,
-    random_a_sound_model,
-    valid_on_model,
-    validate_model,
-)
-from .modal.proofs import ProofError, check_proof, proof_from_dict
-from .modal.proofs import Ok as ProofOk
-from .modal.proofs import proof_to_dict
 from .ordinal import (
     Cmp,
     NotOnPath,
@@ -82,10 +54,12 @@ from .ordinal import (
     stepdown_path,
 )
 
+# The modal engine is imported by the functions of the modal and dev
+# commands, not here: the ord, fgh and iter commands then start without
+# loading it, which is most of the import time of this module.
+
 # decimal printing cutoff: 2^13288 is just above 10^4000
 _DECIMAL_BIT_CUTOFF = 13288
-
-_SEMANTICS = {"gl": GL, "glt": GLT, "gl2": GL2}
 
 
 class CliError(Exception):
@@ -162,6 +136,7 @@ def _parse_ord(text: str):
 
 
 def _parse_modal(text: str):
+    from .modal.formula import ParseError as FormulaParseError, parse_formula
     try:
         return parse_formula(text)
     except FormulaParseError as e:
@@ -169,6 +144,7 @@ def _parse_modal(text: str):
 
 
 def _load_model(path: str):
+    from .modal.kripke import ModelError, model_from_dict
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -315,6 +291,12 @@ def _cmd_fgh(cfg: GlobalConfig, ns) -> int:
 
 
 def _cmd_modal(cfg: GlobalConfig, ns) -> int:
+    from .modal.decide import (Countermodel, Inconclusive, Theorem, ValidOnAllEnumerated,
+                               gl2_decide, gl_decide, glt_decide)
+    from .modal.kripke import (GL, GL2, GLT, ModelError, Ok, SemanticsMismatch, eval_formula,
+                               model_to_dict, validate_model)
+    from .modal.proofs import (Ok as ProofOk, ProofError, check_proof, proof_from_dict,
+                               proof_to_dict)
     if ns.sub == "decide":
         a = _parse_modal(ns.formula)
         try:
@@ -353,7 +335,7 @@ def _cmd_modal(cfg: GlobalConfig, ns) -> int:
         m = _load_model(ns.modelfile)
         a = _parse_modal(ns.formula)
         try:
-            value = eval_formula(m, ns.world, a, _SEMANTICS[ns.sem])
+            value = eval_formula(m, ns.world, a, {"gl": GL, "glt": GLT, "gl2": GL2}[ns.sem])
         except (ModelError, SemanticsMismatch) as e:
             raise CliError(4, str(e))
         _emit(cfg, {"result": value}, ["true" if value else "false"])
@@ -429,6 +411,8 @@ _SELF_CHECK_INSTANCES = (
 
 
 def _cmd_dev(cfg: GlobalConfig, ns) -> int:
+    from .modal.kripke import (GLT, Ok, model_to_dict, random_a_sound_model, valid_on_model,
+                               validate_model)
     if cfg.model_size < 1:
         raise CliError(2, f"model size must be at least 1, got {cfg.model_size}")
     rng = random.Random(cfg.seed)
