@@ -3,11 +3,17 @@
 Two modalities: `[]` (read over the second accessibility relation where one
 exists) and `[.]` (read over the tree order). `<>` and `<.>` are their duals,
 kept distinct in the AST but evaluated through the negation translation.
+
+Nodes are interned: every constructor looks its type and parts up in a
+table that holds its nodes weakly, so equal formulas are the same object.
+Identity is the one equality and the one hash, neither walks the tree, and
+a formula nothing refers to leaves the table. Pickle and copy rebuild
+through the constructors and return the original node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 
 
 class FormulaError(Exception):
@@ -20,83 +26,58 @@ class ParseError(FormulaError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
 class Formula:
-    __slots__ = ()
+    """A node of the syntax tree. Each subclass names its parts in
+    `__slots__`; `Var("p")`, `Box(a)`, `And(a, b)` and the other
+    constructors return the one live node with that type and those parts."""
+
+    __slots__ = ("_prog", "__weakref__")    # _prog: kripke's compiled program, once set
+
+    def __new__(cls, *parts):
+        key = (cls, *parts)
+        ref = _table.get(key)
+        node = ref and ref()
+        if node is None:
+            if len(parts) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} has parts {cls.__slots__}, got {parts!r}")
+            node = object.__new__(cls)
+            for name, part in zip(cls.__slots__, parts):
+                object.__setattr__(node, name, part)
+            # the entry leaves the table as the node dies
+            _table[key] = weakref.ref(
+                node, lambda ref, key=key: _table.get(key) is ref and _table.pop(key))
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the interning constructor, so a copy is the original
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self):
+        parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({parts})"
 
 
-@dataclass(frozen=True)
-class Bot(Formula):
-    __slots__ = ()
+# a weak reference to every live node, keyed by its type and parts; a node
+# keeps its parts alive, so a key names one node while it lives
+_table = {}
 
 
-@dataclass(frozen=True)
-class Top(Formula):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Var(Formula):
-    __slots__ = ("name",)
-    name: str
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    __slots__ = ("body",)
-    body: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Iff(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Box(Formula):
-    __slots__ = ("body",)
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Diamond(Formula):
-    __slots__ = ("body",)
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Triangle(Formula):
-    __slots__ = ("body",)
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Nabla(Formula):
-    __slots__ = ("body",)
-    body: Formula
+# the node types and the names of their parts
+class Bot(Formula): __slots__ = ()
+class Top(Formula): __slots__ = ()
+class Var(Formula): __slots__ = ("name",)
+class Not(Formula): __slots__ = ("body",)
+class And(Formula): __slots__ = ("left", "right")
+class Or(Formula): __slots__ = ("left", "right")
+class Implies(Formula): __slots__ = ("left", "right")
+class Iff(Formula): __slots__ = ("left", "right")
+class Box(Formula): __slots__ = ("body",)
+class Diamond(Formula): __slots__ = ("body",)
+class Triangle(Formula): __slots__ = ("body",)
+class Nabla(Formula): __slots__ = ("body",)
 
 
 UNARY = (Not, Box, Diamond, Triangle, Nabla)
@@ -178,10 +159,12 @@ def _tokenize(text: str):
 
 
 # A formula nests at most this deep: in connectives and modalities on any path
-# of its syntax tree, and in parentheses. Every recursive walk of a formula
-# stays inside Python's recursion limit at this depth.
+# of its syntax tree, and in parentheses. Equality and hash walk nothing; the
+# recursive walks (subformulas, modal_depth, proofs.match, proofs.instantiate,
+# _render) stay inside Python's recursion limit at this depth.
 MAX_FORMULA_DEPTH = 100
 
+_CONSTANT = {"true": Top, "false": Bot}
 _PREFIX = {"~": Not, "[]": Box, "<>": Diamond, "[.]": Triangle, "<.>": Nabla}
 # binary connective -> (binding strength, node type, groups to the right)
 _INFIX = {"<->": (1, Iff, False), "->": (2, Implies, True),
@@ -236,10 +219,8 @@ class _Parser:
             if tok != ")":
                 raise ParseError("expected ')'", pos)
             self.parens -= 1
-        elif tok == "true":
-            f, d = Top(), 0
-        elif tok == "false":
-            f, d = Bot(), 0
+        elif tok in _CONSTANT:
+            f, d = _CONSTANT[tok](), 0
         elif tok and (tok[0].isalpha() or tok[0] == "_"):
             f, d = Var(tok), 0
         else:
@@ -267,55 +248,28 @@ def parse_formula(text: str) -> Formula:
 
 # --- printer ----------------------------------------------------------------
 
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UN = 1, 2, 3, 4, 5
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, Iff):
-        return _LEVEL_IFF
-    if isinstance(f, Implies):
-        return _LEVEL_IMP
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, UNARY):
-        return _LEVEL_UN
-    return 6
+_WORD = {cls: word for word, cls in (*_PREFIX.items(), *_CONSTANT.items())}
+# node type -> (symbol, binding strength, groups to the right)
+_CONNECTIVE = {cls: (sym, strength, right) for sym, (strength, cls, right) in _INFIX.items()}
+# a prefix operator binds tighter than every connective
+_PREFIX_STRENGTH = 1 + max(strength for strength, _, _ in _INFIX.values())
 
 
 def render_formula(f: Formula) -> str:
-    return _render(f, _LEVEL_IFF)
+    return _render(f, 0)
 
 
 def _render(f: Formula, floor: int) -> str:
-    lvl = _level(f)
-    if isinstance(f, Bot):
-        s = "false"
-    elif isinstance(f, Top):
-        s = "true"
-    elif isinstance(f, Var):
-        s = f.name
-    elif isinstance(f, Not):
-        s = "~" + _render(f.body, _LEVEL_UN)
-    elif isinstance(f, Box):
-        s = "[]" + _render(f.body, _LEVEL_UN)
-    elif isinstance(f, Diamond):
-        s = "<>" + _render(f.body, _LEVEL_UN)
-    elif isinstance(f, Triangle):
-        s = "[.]" + _render(f.body, _LEVEL_UN)
-    elif isinstance(f, Nabla):
-        s = "<.>" + _render(f.body, _LEVEL_UN)
-    elif isinstance(f, And):
-        s = _render(f.left, _LEVEL_AND) + " & " + _render(f.right, _LEVEL_UN)
-    elif isinstance(f, Or):
-        s = _render(f.left, _LEVEL_OR) + " | " + _render(f.right, _LEVEL_AND)
-    elif isinstance(f, Implies):
-        s = _render(f.left, _LEVEL_OR) + " -> " + _render(f.right, _LEVEL_IMP)
-    elif isinstance(f, Iff):
-        s = _render(f.left, _LEVEL_IFF) + " <-> " + _render(f.right, _LEVEL_IMP)
-    else:
-        raise FormulaError(f"not a formula: {f!r}")
-    if lvl < floor:
-        return "(" + s + ")"
-    return s
+    """f's text, in parentheses if its connective binds weaker than floor."""
+    cls = type(f)
+    if cls in _CONNECTIVE:
+        sym, strength, right = _CONNECTIVE[cls]
+        s = f"{_render(f.left, strength + right)} {sym} {_render(f.right, strength + (not right))}"
+        return s if strength >= floor else f"({s})"
+    if cls in UNARY:
+        return _WORD[cls] + _render(f.body, _PREFIX_STRENGTH)
+    if cls is Var:
+        return f.name
+    if cls in _WORD:
+        return _WORD[cls]
+    raise FormulaError(f"not a formula: {f!r}")

@@ -184,16 +184,14 @@ def validate_model(m: KripkeModel, a: Formula):
 # Bit i of a mask stands for the i-th world; a relation is a list of
 # successor masks, one per world.
 
-# id(formula) -> (formula, program); holding the formula keeps its id unique
-_COMPILED = {}
-
 
 def _compile(a: Formula) -> tuple:
     """a as (node type, x, y) steps, one per distinct subformula, a's own
-    last; x and y are the steps of its parts, or a variable's name."""
-    hit = _COMPILED.get(id(a))
-    if hit is not None and hit[0] is a:
-        return hit[1]
+    last; x and y are the steps of its parts, or a variable's name. The
+    program is kept on the node, so a formula compiles once while it lives."""
+    prog = getattr(a, "_prog", None)
+    if prog is not None:
+        return prog
     subs = subformulas(a)
     step = {f: i for i, f in enumerate(subs)}
     prog = []
@@ -208,10 +206,9 @@ def _compile(a: Formula) -> tuple:
             prog.append((type(f), None, None))
         else:
             raise SemanticsMismatch(f"cannot evaluate {f!r}")
-    if len(_COMPILED) >= 256:
-        _COMPILED.clear()
-    _COMPILED[id(a)] = (a, tuple(prog))
-    return _COMPILED[id(a)][1]
+    prog = tuple(prog)
+    object.__setattr__(a, "_prog", prog)
+    return prog
 
 
 def _run(prog, full, val, tri, box) -> list:

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slowprov.cli import main
+from slowprov.cli import _SELF_CHECK_INSTANCES, main
+from slowprov.modal import kripke
 from slowprov.modal.formula import MAX_FORMULA_DEPTH, render_formula
 from slowprov.modal.kripke import model_from_dict
 from slowprov.modal.proofs import proof_from_dict
@@ -481,15 +482,30 @@ def test_every_argv_ends_in_a_documented_exit(fuzz_model, argv):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_hash_seeded(seed, *args):
-    """stdout of slowprov in a fresh process under PYTHONHASHSEED=seed."""
+def run_fresh(*args, **env):
+    """stdout of python with these arguments in a fresh process that imports
+    slowprov from this tree, under the environment plus env."""
     path = os.pathsep.join(filter(None, (str(SRC),
                                          os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-m", "slowprov.cli", *args],
-                          env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
     return done.stdout
+
+
+def run_hash_seeded(seed, *args):
+    """stdout of slowprov in a fresh process under PYTHONHASHSEED=seed."""
+    return run_fresh("-m", "slowprov.cli", *args, PYTHONHASHSEED=str(seed))
+
+
+def test_cli_import_loads_no_modal_engine():
+    # the ord, fgh and iter commands start without the modal engine, and
+    # the deciders run without the oracles
+    listing = ("import sys; print(sorted(m for m in sys.modules "
+               "if m.startswith(('slowprov.modal', 'slowprov.oracles'))))")
+    assert run_fresh("-c", "import slowprov.cli; " + listing) == "[]\n"
+    loaded = run_fresh("-c", "import slowprov.modal.decide; " + listing)
+    assert "'slowprov.modal.decide'" in loaded and "oracles" not in loaded
 
 
 class TestHashSeedIndependence:
@@ -527,3 +543,26 @@ class TestDev:
         second = run(capsys, "--seed", "9", "--json", "dev", "oracles",
                      "--count", "2")
         assert first == second
+
+    def test_generator_failure_is_one_fail_record(self, capsys, monkeypatch):
+        def invalid(rng, a, max_size):
+            raise kripke.ModelError("generator produced an invalid model: Violation")
+        monkeypatch.setattr(kripke, "random_a_sound_model", invalid)
+        first = _SELF_CHECK_INSTANCES[0]
+        assert run(capsys, "--json", "dev", "oracles") == (1, json.dumps(
+            {"instance": first, "reason": "generator produced an invalid model",
+             "verdict": "FAIL"}, sort_keys=True) + "\n", "")
+        assert run(capsys, "dev", "oracles") == (
+            1, f"FAIL {first!r}: generator produced an invalid model\n", "")
+
+    def test_false_instance_is_one_fail_record(self, capsys, monkeypatch):
+        monkeypatch.setattr(kripke, "valid_on_model", lambda m, a, semantics: False)
+        first = _SELF_CHECK_INSTANCES[0]
+        code, out, _ = run(capsys, "--json", "dev", "oracles")
+        rec = json.loads(out)
+        assert code == 1 and out.count("\n") == 1
+        assert set(rec) == {"instance", "model", "verdict"}
+        assert rec["verdict"] == "FAIL" and rec["instance"] == first
+        model_from_dict(rec["model"])
+        assert run(capsys, "dev", "oracles") == (
+            1, f"FAIL {first!r}: instance false on a sampled model\n", "")

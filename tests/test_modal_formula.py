@@ -1,13 +1,18 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 
+from slowprov.modal import formula as formula_module
 from slowprov.modal.formula import (
     MAX_FORMULA_DEPTH,
     And,
     Bot,
     Box,
     Diamond,
+    FormulaError,
     Iff,
     Implies,
     Nabla,
@@ -15,6 +20,7 @@ from slowprov.modal.formula import (
     Or,
     ParseError,
     Top,
+    UNARY,
     Triangle,
     Var,
     modal_depth,
@@ -113,3 +119,91 @@ def test_rendering_is_readable():
     assert render_formula(parse_formula("[]([]p->p)->[]p")) == "[]([]p -> p) -> []p"
     assert render_formula(And(P, Or(Q, Var("r")))) == "p & (q | r)"
     assert render_formula(Or(And(P, Q), Var("r"))) == "p & q | r"
+
+
+def test_equal_formulas_are_the_same_object():
+    for text in ["[]p -> [.]p", "~<>true", "[]([]p -> p) -> []p", "p <-> q <-> p"]:
+        assert parse_formula(text) is parse_formula(text)
+    assert Var("p") is Var("p")
+    assert Bot() is Bot() and Top() is not Bot()
+    assert And(P, Q) is parse_formula("p & q") and And(P, Q) is not And(Q, P)
+    assert Not(P) is not Box(P)
+
+
+def test_copies_are_the_same_object():
+    rng = random.Random(5)
+    sample = [random_formula(rng, depth=6) for _ in range(50)]
+    sample += [parse_formula(nested(shape, MAX_FORMULA_DEPTH)) for shape in NESTINGS]
+    for f in sample:
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+
+
+def test_intern_table_drops_what_nothing_holds():
+    gc.collect()
+    before = len(formula_module._table)
+    f = parse_formula(" & ".join(f"[.]x{i}" for i in range(50)))
+    assert len(formula_module._table) == before + 149
+    del f
+    gc.collect()
+    assert len(formula_module._table) == before
+
+
+_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UN = 1, 2, 3, 4, 5
+
+
+def _level(f):
+    if isinstance(f, Iff):
+        return _LEVEL_IFF
+    if isinstance(f, Implies):
+        return _LEVEL_IMP
+    if isinstance(f, Or):
+        return _LEVEL_OR
+    if isinstance(f, And):
+        return _LEVEL_AND
+    if isinstance(f, UNARY):
+        return _LEVEL_UN
+    return 6
+
+
+def _render_by_cases(f, floor=_LEVEL_IFF):
+    """The printer as one case per node type, kept to check the table-driven one."""
+    if isinstance(f, Bot):
+        s = "false"
+    elif isinstance(f, Top):
+        s = "true"
+    elif isinstance(f, Var):
+        s = f.name
+    elif isinstance(f, Not):
+        s = "~" + _render_by_cases(f.body, _LEVEL_UN)
+    elif isinstance(f, Box):
+        s = "[]" + _render_by_cases(f.body, _LEVEL_UN)
+    elif isinstance(f, Diamond):
+        s = "<>" + _render_by_cases(f.body, _LEVEL_UN)
+    elif isinstance(f, Triangle):
+        s = "[.]" + _render_by_cases(f.body, _LEVEL_UN)
+    elif isinstance(f, Nabla):
+        s = "<.>" + _render_by_cases(f.body, _LEVEL_UN)
+    elif isinstance(f, And):
+        s = _render_by_cases(f.left, _LEVEL_AND) + " & " + _render_by_cases(f.right, _LEVEL_UN)
+    elif isinstance(f, Or):
+        s = _render_by_cases(f.left, _LEVEL_OR) + " | " + _render_by_cases(f.right, _LEVEL_AND)
+    elif isinstance(f, Implies):
+        s = _render_by_cases(f.left, _LEVEL_OR) + " -> " + _render_by_cases(f.right, _LEVEL_IMP)
+    else:
+        s = _render_by_cases(f.left, _LEVEL_IFF) + " <-> " + _render_by_cases(f.right, _LEVEL_IMP)
+    return "(" + s + ")" if _level(f) < floor else s
+
+
+def test_printer_matches_the_case_by_case_printer():
+    rng = random.Random(1019)
+    sample = [random_formula(rng, depth=rng.choice((1, 4, 8))) for _ in range(5000)]
+    sample += [parse_formula(nested(shape, MAX_FORMULA_DEPTH)) for shape in NESTINGS]
+    for f in sample:
+        assert render_formula(f) == _render_by_cases(f)
+
+
+def test_printer_rejects_what_is_not_a_formula():
+    with pytest.raises(FormulaError, match="not a formula: 5"):
+        render_formula(Not(5))
