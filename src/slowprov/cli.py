@@ -298,6 +298,9 @@ def _cmd_modal(cfg: GlobalConfig, ns) -> int:
     from .modal.proofs import (Ok as ProofOk, ProofError, check_proof, proof_from_dict,
                                proof_to_dict)
     if ns.sub == "decide":
+        for name, bound in (("model size", cfg.model_size), ("proof depth", cfg.proof_depth)):
+            if ns.system != "gl" and bound < 0:
+                raise CliError(2, f"{name} must be nonnegative, got {bound}")
         a = _parse_modal(ns.formula)
         try:
             if ns.system == "gl":

@@ -2,7 +2,8 @@
 
 Proofs are flat line lists. Each line carries a formula, a rule tag, and
 back-references. Tautologies are decided by truth-tabling over the maximal
-non-boolean subformulas; each axiom tag is matched against its schema,
+non-boolean subformulas, and `truth_masks` tables many formulas on 64
+shared rows; each axiom tag is matched against its schema,
 written once as a formula in AXIOMS; the two rules check their cited
 lines. Necessitation is primitive for `[.]` only; the boxed form is
 derivable and deliberately rejected.
@@ -10,6 +11,7 @@ derivable and deliberately rejected.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .formula import (
@@ -70,7 +72,7 @@ ALL_RULES = frozenset().union(*SYSTEM_RULES.values())
 TAUT_ATOM_CAP = 16
 
 
-# --- tautology checking -----------------------------------------------------
+# --- truth tables -----------------------------------------------------------
 
 # the connectives a truth table reads, with their arity, and the constants
 # as indices into the row masks: -1 is every row, -2 none
@@ -78,17 +80,15 @@ _ARITY = {Not: 1, And: 2, Or: 2, Implies: 2, Iff: 2}
 _CONSTANT = {Top: -1, Bot: -2}
 
 
-def is_tautology(f: Formula) -> bool:
-    """Propositional validity with modal subformulas opaque.
-
-    The atoms are the maximal non-boolean subformulas. With k of them, the
-    2^k rows of the truth table are the bits of one int, and atom i is true
-    in the rows whose bit i is set, so one pass over f evaluates every row.
-    Raises ProofError past the atom cap; callers decide how to report it.
-    """
+def _masks(fs, width):
+    """The truth mask of each formula of fs, and the mask of every row. The
+    atoms are the maximal non-boolean subformulas, numbered by first
+    occurrence. The 2^width rows are the bits of one int: atom i < width is
+    true in the rows whose bit i is set, and later atoms get seeded columns.
+    Width None is the whole truth table, up to the atom cap."""
     atoms = {}
-    prog = []   # f in prefix order: connectives, and row indices for the rest
-    todo = [f]
+    prog = []   # fs in prefix order: connectives, and row indices for the rest
+    todo = list(reversed(fs))
     while todo:
         g = todo.pop()
         arity = _ARITY.get(type(g))
@@ -102,11 +102,15 @@ def is_tautology(f: Formula) -> bool:
             todo.append(g.left)
         else:
             todo.append(g.body)
-    if len(atoms) > TAUT_ATOM_CAP:
-        raise ProofError(f"{len(atoms)} distinct atoms exceeds the "
-                         f"{TAUT_ATOM_CAP}-atom tautology cap")
-    full = (1 << (1 << len(atoms))) - 1
-    rows = [full ^ full // ((1 << (1 << i)) + 1) for i in range(len(atoms))] + [0, full]
+    if width is None:
+        if len(atoms) > TAUT_ATOM_CAP:
+            raise ProofError(f"{len(atoms)} distinct atoms exceeds the "
+                             f"{TAUT_ATOM_CAP}-atom tautology cap")
+        width = len(atoms)
+    full = (1 << (1 << width)) - 1
+    seeded = len(atoms) > width and random.Random(0)
+    rows = [full ^ full // ((1 << (1 << i)) + 1) if i < width else seeded.getrandbits(1 << width)
+            for i in range(len(atoms))] + [0, full]
     vals = []
     push, pop = vals.append, vals.pop
     for op in reversed(prog):
@@ -124,7 +128,21 @@ def is_tautology(f: Formula) -> bool:
                 push(full ^ x | y)
             else:
                 push(full ^ x ^ y)
-    return vals[0] == full
+    return vals[::-1], full
+
+
+def truth_masks(fs) -> list:
+    """Each formula of fs as a mask of 64 rows that assign every atom: the
+    whole table of the first six, seeded columns for the rest. So a -> b is
+    a tautology only if b's mask has every row of a's."""
+    return _masks(fs, 6)[0]
+
+
+def is_tautology(f: Formula) -> bool:
+    """Propositional validity with modal subformulas opaque. Raises
+    ProofError past the atom cap; callers decide how to report it."""
+    (mask,), full = _masks((f,), None)
+    return mask == full
 
 
 # --- axiom schemas ----------------------------------------------------------

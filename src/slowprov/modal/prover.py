@@ -10,8 +10,10 @@ two-step box).
 Strategy, in order: tautology check on the goal, a match against the
 system's axiom schemas, the first template row that matches the goal,
 then a bounded forward closure over the goal's subformulas using modus
-ponens, triangle necessitation, monotonicity and syllogism steps. Every
-proof that comes out is re-validated with check_proof before it is
+ponens, triangle necessitation, monotonicity and syllogism steps. Its
+candidate tautologies are checked in a fixed order, each after a filter on
+`truth_masks` rows that no tautology fails, so the filter changes no proof.
+Every proof that comes out is re-validated with check_proof before it is
 returned, so a None result is the only unverified outcome.
 """
 
@@ -30,6 +32,7 @@ from .proofs import (
     instantiate,
     is_tautology,
     match,
+    truth_masks,
 )
 
 # The forward closure stops once the builder holds more lines than this.
@@ -243,13 +246,14 @@ def _seed(b: _Builder, pool):
     box_bodies = [f.body for f in pool if isinstance(f, Box)]
     for bodies, mono in ((tri_bodies, b.mono_tri),
                          (box_bodies, b.mono_box) if sysname != "GL" else ((), None)):
-        for x in bodies:
-            for y in bodies:
-                if x != y and _taut(Implies(x, y)):
+        masks = truth_masks(bodies)
+        for x, mx in zip(bodies, masks):
+            for y, my in zip(bodies, masks):
+                if x != y and not mx & ~my and _taut(Implies(x, y)):
                     mono(b.taut(Implies(x, y)))
 
 
-def _closure_round(b: _Builder, pool, goal: Formula, last: bool) -> bool:
+def _closure_round(b: _Builder, parts, goal: Formula, last: bool) -> bool:
     proved = list(b.index.items())
     boxed = b.system != "GL"
     for f, line in proved:
@@ -259,13 +263,13 @@ def _closure_round(b: _Builder, pool, goal: Formula, last: bool) -> bool:
             minor = b.have(f.left)
             if minor is not None:
                 b.mp(minor, line)
-            if Triangle(f.left) in pool and Triangle(f.right) in pool:
+            if (Triangle, f.left) in parts and (Triangle, f.right) in parts:
                 b.mono_tri(line)
-            if boxed and Box(f.left) in pool and Box(f.right) in pool:
+            if boxed and (Box, f.left) in parts and (Box, f.right) in parts:
                 b.mono_box(line)
-        if Triangle(f) in pool:
+        if (Triangle, f) in parts:
             b.nec(line)
-        if boxed and Box(f) in pool:
+        if boxed and (Box, f) in parts:
             b.nec_box(line)
     if goal in b.index:
         return True
@@ -273,12 +277,10 @@ def _closure_round(b: _Builder, pool, goal: Formula, last: bool) -> bool:
     imps = [(f, n) for f, n in proved if isinstance(f, Implies)]
     for f, n in imps:
         for g, m in imps:
-            if f.right == g.left:
-                out = Implies(f.left, g.right)
-                if out == goal or out in pool:
-                    b.chain(n, m)
-                    if goal in b.index:
-                        return True
+            if f.right == g.left and (Implies, f.left, g.right) in parts:
+                b.chain(n, m)
+                if goal in b.index:
+                    return True
     if isinstance(goal, Iff):
         fwd = b.have(Implies(goal.left, goal.right))
         back = b.have(Implies(goal.right, goal.left))
@@ -287,16 +289,18 @@ def _closure_round(b: _Builder, pool, goal: Formula, last: bool) -> bool:
                                   Implies(b.lines[back - 1].formula, goal)))
             b.mp(back, b.mp(fwd, glue))
             return True
-    for f, n in list(b.index.items()):
-        if _taut(Implies(f, goal)):
-            step = b.taut(Implies(f, goal))
-            b.mp(n, step)
+    # a row where f holds and the goal fails rules f -> goal out
+    proved = list(b.index.items())
+    goal_mask, *masks = truth_masks([goal] + [f for f, _ in proved])
+    for (f, n), mf in zip(proved, masks):
+        if not mf & ~goal_mask and _taut(Implies(f, goal)):
+            b.mp(n, b.taut(Implies(f, goal)))
             return True
     if last:
-        proved = list(b.index.items())
-        for f, n in proved:
-            for g, m in proved:
-                if _taut(Implies(f, Implies(g, goal))):
+        for (f, n), mf in zip(proved, masks):
+            rest = mf & ~goal_mask
+            for (g, m), mg in zip(proved, masks):
+                if not rest & mg and _taut(Implies(f, Implies(g, goal))):
                     step = b.taut(Implies(f, Implies(g, goal)))
                     b.mp(m, b.mp(n, step))
                     return True
@@ -326,27 +330,18 @@ def prove(goal: Formula, system: str, rounds: int = 4):
     if system not in SYSTEM_RULES:
         raise ProofError(f"unknown system {system!r}")
     b = _Builder(system)
-    done = False
-    if _taut(goal):
-        b.taut(goal)
-        done = True
-    if not done:
-        tag = _axiom_rule_for(goal, system)
-        if tag is not None:
-            b.add(goal, tag)
-            done = True
-    if not done and _try_templates(b, goal):
-        done = goal in b.index
-    if not done:
-        pool = dict.fromkeys(subformulas(goal))
+    tag = "Taut" if _taut(goal) else _axiom_rule_for(goal, system)
+    if tag is not None:
+        b.add(goal, tag)
+    elif not (_try_templates(b, goal) and goal in b.index):
+        pool = subformulas(goal)
+        # each subformula by its intern key: a lookup builds no formula
+        parts = {(type(f), *map(f.__getattribute__, f.__slots__)) for f in pool}
         _seed(b, pool)
         for i in range(rounds):
-            if _closure_round(b, pool, goal, last=(i == rounds - 1)):
-                done = True
+            if _closure_round(b, parts, goal, last=(i == rounds - 1)) or b.overflow():
                 break
-            if b.overflow():
-                break
-    if not done or goal not in b.index:
+    if goal not in b.index:
         return None
     proof = _prune(b, goal)
     verdict = check_proof(proof)

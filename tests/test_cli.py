@@ -298,6 +298,23 @@ class TestJsonMode:
         monkeypatch.setenv("SLOWPROV_MODELSIZE", size)
         assert self.single_record(capsys, "dev", "oracles") == (code, rec)
 
+    @pytest.mark.parametrize("system", ["glt", "gl2"])
+    @pytest.mark.parametrize("flag, env, name", [
+        ("--max-model-size", "SLOWPROV_MODELSIZE", "model size"),
+        ("--max-proof-depth", None, "proof depth"),
+    ])
+    def test_negative_modal_bound_is_exit_2(self, capsys, monkeypatch, system, flag, env, name):
+        args = ("modal", "decide", system, "p")
+        message = f"{name} must be nonnegative, got -1"
+        assert run(capsys, flag, "-1", *args) == (2, "", f"error: {message}\n")
+        code, rec = self.single_record(capsys, flag, "-1", *args)
+        assert code == 2 and rec == {"error": message, "exit": 2}
+        if env:
+            monkeypatch.setenv(env, "-1")
+            assert self.single_record(capsys, *args) == (code, rec)
+        # 0 is a bound: proof search only, or no closure rounds
+        assert run(capsys, flag, "0", *args)[0] == 0
+
     @pytest.mark.parametrize("shape, n", [("not", 2000), ("parens", 300)])
     def test_too_deep_formula_is_exit_2(self, capsys, shape, n):
         code, rec = self.single_record(capsys, "modal", "decide", "glt", nested(shape, n))
@@ -308,10 +325,8 @@ class TestJsonMode:
         text = nested(shape, MAX_FORMULA_DEPTH)
         proof = tmp_path / "pf.json"
         proof.write_text(json.dumps({"system": "GLT", "lines": [{"formula": text, "rule": "Taut"}]}))
-        # gl2's proof search takes 5 to 11 s on the other three shapes: its
-        # last round tests a tautology for every pair of proved lines
-        systems = ("gl", "glt", "gl2") if shape in ("parens", "implies") else ("gl", "glt")
-        runs = [("--max-model-size", "1", "modal", "decide", system, text) for system in systems]
+        runs = [("--max-model-size", "1", "modal", "decide", system, text)
+                for system in ("gl", "glt", "gl2")]
         runs += [("modal", "eval", model_file, "a", text, "--sem", sem) for sem in ("gl", "glt", "gl2")]
         runs += [("modal", "checkmodel", model_file, text), ("modal", "checkproof", str(proof))]
         for args in runs:
@@ -508,6 +523,27 @@ def test_cli_import_loads_no_modal_engine():
     assert "'slowprov.modal.decide'" in loaded and "oracles" not in loaded
 
 
+# the shared truth masks of the subformulas of seeded random formulas, four
+# formulas at a time, and prove() on each under each system; argv[1] is the
+# tests directory
+PROVE_DUMP = """
+import random, sys
+sys.path.insert(0, sys.argv[1])
+from modal_corpus import random_formula
+from slowprov.modal.formula import render_formula, subformulas
+from slowprov.modal.proofs import proof_to_dict, truth_masks
+from slowprov.modal.prover import prove
+rng = random.Random(5)
+fs = [random_formula(rng, rng.randint(2, 4)) for _ in range(120)]
+for i in range(0, len(fs), 4):
+    print(truth_masks([g for f in fs[i:i + 4] for g in subformulas(f)]))
+for f in fs:
+    for system in ("GL", "GLT", "GL2"):
+        p = prove(f, system)
+        print(render_formula(f), system, p and proof_to_dict(p))
+"""
+
+
 class TestHashSeedIndependence:
     # Seeds 0 and 1 are a pair under which iterating sets of these strings
     # changes both outputs.
@@ -516,6 +552,13 @@ class TestHashSeedIndependence:
         first = run_hash_seeded(0, *args)
         assert json.loads(first)["verdict"] == "THEOREM"
         assert run_hash_seeded(1, *args) == first
+
+    def test_prover_on_random_formulas(self):
+        # the truth masks' columns past six atoms are seeded, never hash()
+        args = ("-c", PROVE_DUMP, str(Path(__file__).resolve().parent))
+        first = run_fresh(*args, PYTHONHASHSEED="0")
+        assert first.count("'lines'") >= 30
+        assert run_fresh(*args, PYTHONHASHSEED="1") == first
 
     def test_validation_detail(self, tmp_path):
         # a four-world chain missing three pairs that condition 3 demands

@@ -1,11 +1,12 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
 from slowprov.modal.formula import (BINARY, And, Bot, Iff, Implies, Not, Or, Top,
-                                    parse_formula)
+                                    Triangle, Var, parse_formula)
 from slowprov.modal.proofs import (
     AXIOMS,
     SYSTEM_RULES,
@@ -21,6 +22,7 @@ from slowprov.modal.proofs import (
     match,
     proof_from_dict,
     proof_to_dict,
+    truth_masks,
 )
 from slowprov.modal.prover import _TEMPLATES, prove
 from modal_corpus import random_formula
@@ -171,6 +173,71 @@ def test_tautology_checker_matches_row_by_row_reference():
         assert is_tautology(f) == want, f
         seen += want
     assert seen > 300
+
+
+FULL = (1 << 64) - 1
+
+
+def test_truth_masks_match_row_by_row_reference():
+    # up to six shared atoms, row r sets atom i to bit i of r, on all 64 rows
+    rng = random.Random(12)
+    seen = 0
+    for _ in range(400):
+        fs = [random_formula(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        acc = {}
+        for f in fs:
+            atoms = _atoms(f, acc)
+        if len(atoms) > 6:
+            continue
+        seen += 1
+        masks = truth_masks(fs)
+        for r in range(64):
+            env = {a: bool(r >> i & 1) for i, a in enumerate(atoms)}
+            assert [m >> r & 1 for m in masks] == [_truth(f, env) for f in fs], (fs, r)
+    assert seen > 200
+
+
+def _combination(rng, atoms):
+    """A random boolean formula in which each of atoms occurs."""
+    order = rng.sample(atoms, len(atoms))
+    f = order[0]
+    for a in order[1:]:
+        ctor = rng.choice((And, Or, Implies, Iff))
+        f = ctor(f, a) if rng.random() < 0.5 else ctor(a, f)
+        if rng.random() < 0.2:
+            f = Not(f)
+    return f
+
+
+def test_truth_masks_keep_every_tautology_past_six_atoms():
+    # past six atoms the rows are a sample, so the filter is sound only if a
+    # tautology's mask stays full wherever its atoms are numbered
+    rng = random.Random(13)
+    ruled_out = 0
+    for k in range(7, 17):
+        atoms = [Var(f"a{i}") if i % 2 else Triangle(Var(f"a{i}")) for i in range(k)]
+        for _ in range(10):
+            g, h = _combination(rng, atoms), _combination(rng, atoms[:rng.randint(1, k)])
+            tautologies = (Implies(g, g), Implies(And(g, h), g), Implies(g, Or(h, g)),
+                           Implies(g, Implies(h, g)), Or(Not(g), g), Iff(Not(Not(h)), h))
+            for t in tautologies:
+                assert is_tautology(t)
+                assert truth_masks([t]) == [FULL]
+                assert truth_masks([h, g, t])[2] == FULL
+            # the closure's two tests: f -> goal and f -> (g -> goal)
+            mg, mh, mgh = truth_masks([g, h, And(g, h)])
+            assert not mgh & ~mg and not mg & mh & ~mgh
+            ruled_out += truth_masks([g])[0] != FULL and not is_tautology(g)
+    assert ruled_out > 50
+
+
+@pytest.mark.parametrize("text", ["[.]" * 60 + "p -> p", "~" * 60 + "[.]q -> q"])
+def test_deep_glt_non_theorem_gives_up_within_a_second(text):
+    # the last closure round once tested a tautology per pair of proved lines
+    goal = pf(text)
+    start = time.perf_counter()
+    assert prove(goal, "GLT") is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dict_roundtrip():
