@@ -68,7 +68,7 @@ class Ordinal:
     EPSILON0 have length 0, coefficients 0 and no prefix or exponents;
     `eps` tells EPSILON0 apart. These are read-only properties over private
     slots, which only this module writes, as it builds a node; `_text`
-    keeps the text of a short node once it was rendered.
+    keeps a text of at most `_KEPT` characters once a render built it.
     `Ordinal(terms)` checks a tuple of (exponent, coefficient) pairs for
     normal form and returns the interned node; `Ordinal(eps=True)` returns
     EPSILON0.
@@ -404,12 +404,9 @@ def fund_seq(lam: Ordinal, n: int) -> Ordinal:
 
 def stepdown_one(a: Ordinal, n: int) -> Ordinal:
     """One step of the descent: predecessor at successors, fund_seq at limits."""
-    kind, pred = classify(a)
-    if kind is OrdKind.ZERO:
+    if a is ZERO:
         raise ZeroInput("cannot step below zero")
-    if kind is OrdKind.SUCCESSOR:
-        return pred
-    return fund_seq(a, n)
+    return _lower(a) if a._exp is ZERO else fund_seq(a, n)
 
 
 @dataclass(frozen=True)
@@ -441,20 +438,21 @@ def stepdown_path(a: Ordinal, n: int, target: Ordinal, step_budget: int) -> Path
     """
     if step_budget < 1:
         raise OrdinalError("step budget must be positive")
+    if not isinstance(n, int) or n < 0:
+        raise OrdinalError("sequence index must be a nonnegative integer")
     path = [a]
     cur = a
-    steps = 0
     while True:
         c = compare(cur, target)
         if c is Cmp.EQUAL:
-            return Reached(steps, tuple(path))
+            return Reached(len(path) - 1, tuple(path))
         if c is Cmp.LESS:
-            return NotOnPath(steps, cur)
-        if steps >= step_budget:
-            return StepBudgetExceeded(steps, tuple(path))
-        cur = stepdown_one(cur, n)
+            return NotOnPath(len(path) - 1, cur)
+        if len(path) > step_budget:
+            return StepBudgetExceeded(step_budget, tuple(path))
+        # cur is above the target, so it is not ZERO
+        cur = _lower(cur) if cur._exp is ZERO else fund_seq(cur, n)
         path.append(cur)
-        steps += 1
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +572,9 @@ def _power(s: _Scanner, exp: Ordinal) -> Ordinal:
     return _snoc(ZERO, exp, coeff)
 
 
-# a node of at most this many terms, none with an exponent in parentheses,
-# keeps its text
-_FLAT_KEPT = 8
+# a node whose text has at most this many characters keeps it once built,
+# but not the node render_ordinal is asked for: a walk would keep them all
+_KEPT = 128
 
 
 def _term_text(exp: Ordinal, coeff: int):
@@ -595,25 +593,35 @@ def _term_text(exp: Ordinal, coeff: int):
     return head if coeff == 1 else f"{head}*{coeff}"
 
 
-def _flat_text(x: Ordinal, limit: int):
-    """x's text if it has at most limit terms and no exponent in parentheses.
+def _short_text(x: Ordinal, room: int, failed: set):
+    """x's text if it has at most room characters, else None, in O(room) work.
 
-    Such a text of at most _FLAT_KEPT terms is kept on x.
+    The prefix and the exponents share the room. Every node whose text this
+    builds keeps it, x too; every exponent it gives up on goes into failed.
     """
-    if x._length > limit:
-        return None
-    parts = []
+    chain = []
     node = x
-    while node is not ZERO:
-        term = _term_text(node._exp, node._coeff)
-        if term is None:
-            return None
-        parts.append(term)
+    while node is not ZERO and node._text is None:
+        if 4 * len(chain) >= room:
+            return None     # one more term and its " + " would not fit
+        chain.append(node)
         node = node._prefix
-    parts.reverse()
-    text = " + ".join(parts)
-    if x._length <= _FLAT_KEPT:
-        x._text = text
+    text = node._text or ""
+    if len(text) > room:
+        return None
+    for node in reversed(chain):
+        exp, coeff = node._exp, node._coeff
+        term = _term_text(exp, coeff)
+        if term is None:
+            inner = _short_text(exp, room - len(text) - 4, failed)  # at most room/4 deep
+            if inner is None:
+                failed.add(exp)
+                return None
+            term = f"w^({inner})" if coeff == 1 else f"w^({inner})*{coeff}"
+        text = f"{text} + {term}" if text else term
+        if len(text) > room:
+            return None
+        node._text = text
     return text
 
 
@@ -625,15 +633,20 @@ def render_ordinal(a: Ordinal) -> str:
     copied into each enclosing level. A node met under two different nodes
     (an exponent used twice, or a prefix that two sums share, as along a
     long descent) is written out once and its text reused, so Python work
-    follows the number of distinct nodes, not the length of the output. A
-    short node with no exponent in parentheses keeps its text, for the
-    ordinals of a descent, which share most of their exponents.
+    follows the number of distinct nodes, not the length of the output.
+    A node of at most _KEPT characters but the one asked for keeps its text,
+    so a descent's element, whose prefix kept its text, costs O(1) work.
     """
     if a is EPSILON0:
         return "e0"
     if a is ZERO:
         return "0"
-    text = a._text or _flat_text(a, a._length)
+    # exponents a search gave up on: the stack renders them without searching
+    failed = set()
+    text = a._text
+    if text is None:
+        text = _short_text(a, _KEPT, failed)
+        a._text = None
     if text is not None:
         return text
     out = []
@@ -672,17 +685,14 @@ def render_ordinal(a: Ordinal) -> str:
                 stack.append(term)
             else:
                 stack.append(")" if coeff == 1 else f")*{coeff}")
-                text = exp._text or texts.get(exp) or _flat_text(exp, _FLAT_KEPT)
-                if text is None:
-                    stack.append((exp, node))
-                else:
-                    stack.append(text)
+                text = exp._text or exp not in failed and _short_text(exp, _KEPT, failed)
+                stack.append(text or (exp, node))
                 stack.append("w^(")
             prefix = node._prefix
             if prefix is ZERO:
                 break
             stack.append(" + ")
-            text = texts.get(prefix)
+            text = prefix._text or texts.get(prefix)
             if text is not None:
                 stack.append(text)
                 break

@@ -315,6 +315,14 @@ class TestJsonMode:
         # 0 is a bound: proof search only, or no closure rounds
         assert run(capsys, flag, "0", *args)[0] == 0
 
+    @pytest.mark.parametrize("start", ["3", "w"])
+    def test_negative_stepdown_index_is_exit_2(self, capsys, start):
+        # from 3 the walk meets no limit, and once printed REACHED with exit 0
+        message = "sequence index must be a nonnegative integer"
+        assert run(capsys, "ord", "stepdown", start, "-1") == (2, "", f"error: {message}\n")
+        code, rec = self.single_record(capsys, "ord", "stepdown", start, "-1")
+        assert code == 2 and rec == {"error": message, "exit": 2}
+
     @pytest.mark.parametrize("shape, n", [("not", 2000), ("parens", 300)])
     def test_too_deep_formula_is_exit_2(self, capsys, shape, n):
         code, rec = self.single_record(capsys, "modal", "decide", "glt", nested(shape, n))

@@ -18,6 +18,7 @@ from slowprov.ordinal import (
     parse_ordinal,
     stepdown_path,
 )
+from slowprov import ordinal as ordinal_module
 from slowprov.fgh import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -107,19 +108,30 @@ def test_limit_step_is_one_step_then_its_fundamental_sequence():
         == BudgetExceeded(1, 3)
 
 
-def test_step_cost_does_not_grow_with_the_ordinal():
+def test_step_cost_does_not_grow_with_the_ordinal(monkeypatch):
     # F at e0 of 3 builds an ordinal of thousands of terms; a step rebuilds
-    # only its chain of last exponents, so four times the steps take about
-    # four times as long (about 26 times when each step copied the ordinal)
-    def seconds(steps):
-        start = time.perf_counter()
-        got = eval_F(EPSILON0, 3, EvalBudget(2 ** 29, steps))
-        elapsed = time.perf_counter() - start
-        assert got == BudgetExceeded(steps, 2)
-        return elapsed
+    # only its chain of last exponents, so four times the steps build about
+    # four times the nodes (about 26 times when each step copied the ordinal).
+    # Nodes are counted, not timed, so a busy machine cannot fail this.
+    built = 0
+    new = ordinal_module._new
 
-    small = min(seconds(10 ** 4) for _ in range(3))
-    large = min(seconds(4 * 10 ** 4) for _ in range(2))
+    def counting_new(cls):
+        nonlocal built
+        built += 1
+        return new(cls)
+
+    monkeypatch.setattr(ordinal_module, "_new", counting_new)
+
+    def nodes(steps):
+        nonlocal built
+        built = 0
+        got = eval_F(EPSILON0, 3, EvalBudget(2 ** 29, steps))
+        assert got == BudgetExceeded(steps, 2)
+        return built
+
+    small, large = nodes(10 ** 4), nodes(4 * 10 ** 4)
+    assert small > 10 ** 4
     assert large / small < 8
 
 

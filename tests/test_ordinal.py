@@ -4,6 +4,7 @@ import copy
 import gc
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -375,6 +376,14 @@ def test_stepdown_path_worked_examples():
     assert isinstance(got, NotOnPath)
 
 
+def test_stepdown_path_checks_the_index_on_any_walk():
+    # a walk through no limit never reads n, and once accepted n = -1
+    for a in (from_int(3), OMEGA, EPSILON0):
+        with pytest.raises(OrdinalError, match="sequence index must be a nonnegative integer"):
+            stepdown_path(a, -1, ZERO, 10)
+    assert stepdown_path(from_int(3), 0, ZERO, 10) == Reached(3, tuple(map(from_int, (3, 2, 1, 0))))
+
+
 def test_stepdown_path_budget_and_trivial():
     assert stepdown_path(OMEGA, 2, OMEGA, 5) == Reached(0, (OMEGA,))
     got = stepdown_path(p("w^w"), 3, ZERO, 10)
@@ -449,6 +458,24 @@ def test_render_parse_roundtrip_at_depth_5000():
     assert repr(b).startswith("Ordinal('w^(w^(")
 
 
+def test_render_gives_up_on_each_deep_exponent_once(monkeypatch):
+    # the search for a short text walks about _KEPT / 4 levels down before it
+    # gives up; were each level searched again as the stack renders it, a
+    # tower would cost about 33 searches per level
+    calls = 0
+    search = ordinal_module._short_text
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(ordinal_module, "_short_text", counting)
+    a = omega_tower(from_int(7), DEPTH)
+    assert r(a) == "w^(" * (DEPTH - 1) + "w^7" + ")" * (DEPTH - 1)
+    assert calls <= 2 * DEPTH
+
+
 def test_render_shares_exponent_prefixes():
     # the exponents of a long descent share their prefixes; the text must be
     # the plain sum of each exponent's text all the same
@@ -478,6 +505,60 @@ def _render_term_plainly(exp, coeff):
     else:
         head = "w^(" + " + ".join(_render_term_plainly(e, c) for e, c in exp.terms) + ")"
     return head if coeff == 1 else f"{head}*{coeff}"
+
+
+def _render_plainly(x):
+    return " + ".join(_render_term_plainly(e, c) for e, c in x.terms) or "0"
+
+
+# the five tower walks of the benchmark's descent workload, 33,000 elements
+TOWERS = (("w^w", 3), ("w^(w+1)", 3), ("w^(w*2)", 2), ("w^(w^w)", 1), ("w^(w^2)", 2))
+
+
+def _render_inputs():
+    """Every element of the towers' walks, then 500 seeded ordinals of depth <= 4."""
+    rng = random.Random(15)
+    walks = [stepdown_path(p(text), n, ZERO, 10 ** 5).path for text, n in TOWERS]
+    return [x for w in walks for x in w] + [_random_ordinal(rng, 4) for _ in range(500)]
+
+
+def _random_ordinal(rng, depth):
+    """A seeded ordinal of nesting depth at most depth."""
+    if depth == 0 or rng.random() < 0.3:
+        return from_int(rng.randrange(6))
+    exps = {_random_ordinal(rng, depth - 1) for _ in range(rng.randint(1, 4))}
+    return Ordinal((e, rng.randint(1, 5)) for e in sorted(exps, reverse=True))
+
+
+def test_render_matches_the_plain_reference_in_any_order():
+    # which nodes kept their texts depends on what was rendered before, so
+    # render in a shuffled order, then again in another, and compare both
+    rng = random.Random(15)
+    xs = _render_inputs()
+    rng.shuffle(xs)
+    first = [r(x) for x in xs]
+    # some texts are too long to keep, and go through the stack renderer
+    assert sum(len(text) > ordinal_module._KEPT for text in first) > 100
+    for x, text in zip(xs, first):
+        assert text == _render_plainly(x)
+        assert p(text) is x
+    order = list(range(len(xs)))
+    rng.shuffle(order)
+    assert all(r(xs[i]) == first[i] for i in order)
+
+
+def test_kept_texts_stay_short():
+    # a node keeps a text of at most _KEPT characters, and the node handed to
+    # render_ordinal keeps none, or a walk would keep the text of every element
+    xs = _render_inputs() + [stepdown_path(EPSILON0, 300, ZERO, 1000).partial_path[-1]]
+    for x in xs:
+        had = x._text
+        r(x)
+        assert x._text is had
+    kept = [ref() for ref in list(ordinal_module._table.values())]
+    lengths = [len(x._text) for x in kept if x is not None and x._text is not None]
+    assert len(lengths) > 1000
+    assert max(lengths) <= ordinal_module._KEPT
 
 
 def test_copies_are_the_same_object():
