@@ -6,14 +6,15 @@ same structure serves three readings: the one-modality reading interprets
 `[]` over the tree order itself; the two-relation reading interprets `[]`
 over the auxiliary relation, subject to the five soundness conditions below;
 the composed reading interprets `[]` over two-step reachability in the tree
-order and ignores the auxiliary relation entirely.
+order and ignores the auxiliary relation entirely. Evaluation reads world
+masks: successor masks kept on the model's frame, built once and shared by
+the models built one after another over it, and one mask per variable.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 from .formula import (
     BINARY,
@@ -49,54 +50,83 @@ GL2 = "GL2"
 SEMANTICS = (GL, GLT, GL2)
 
 
-class KripkeModel:
-    """Finite rooted model. `prec` and `precR` are strict relations given as
-    pair collections; the valuation maps variable names to world collections.
-    Everything is normalized to sorted tuples on construction."""
+class _Frame:
+    """A validated frame: worlds, root, sorted pair tuples, the world index, and
+    the successor masks of prec (tri), precR (aux) and GL2's two steps (lazy)."""
 
-    __slots__ = ("worlds", "root", "prec", "precR", "val")
+    __slots__ = ("worlds", "root", "prec", "precR", "idx", "tri", "aux", "two")
 
-    def __init__(self, worlds, root, prec=(), precR=(), val=None):
-        worlds = tuple(worlds)
+    def __init__(self, worlds, root, prec, precR):
         if not worlds:
             raise ModelError("a model needs at least one world")
-        if len(set(worlds)) != len(worlds):
-            raise ModelError("duplicate world names")
         for w in worlds:
             if not isinstance(w, str) or not w:
                 raise ModelError(f"world names are nonempty strings, got {w!r}")
-        wset = set(worlds)
-        if root not in wset:
+        idx = {w: i for i, w in enumerate(worlds)}
+        if len(idx) != len(worlds):
+            raise ModelError("duplicate world names")
+        if not isinstance(root, str) or root not in idx:
             raise ModelError(f"root {root!r} is not a world")
-        prec = self._pairs(prec, wset, "prec")
-        precR = self._pairs(precR, wset, "precR")
-        norm_val = {}
-        for var in sorted(val or {}):
-            if not isinstance(var, str) or not var:
-                raise ModelError(f"variable names are nonempty strings, got {var!r}")
-            ws = tuple(sorted(set((val or {})[var])))
-            for w in ws:
-                if w not in wset:
-                    raise ModelError(f"valuation of {var!r} names unknown world {w!r}")
-            norm_val[var] = ws
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "precR", precR)
-        object.__setattr__(self, "val", norm_val)
+        self.worlds, self.root, self.idx, self.two = worlds, root, idx, None
+        self.prec, self.tri = self._pairs(prec, idx, "prec")
+        self.precR, self.aux = self._pairs(precR, idx, "precR")
 
     @staticmethod
-    def _pairs(rel, wset, label):
-        out = set()
+    def _pairs(rel, idx, label):
+        succ = [0] * len(idx)
         for pair in rel:
-            pair = tuple(pair)
             if len(pair) != 2:
                 raise ModelError(f"{label} entries are pairs, got {pair!r}")
             a, b = pair
-            if a not in wset or b not in wset:
+            if not (isinstance(a, str) and a in idx and isinstance(b, str) and b in idx):
                 raise ModelError(f"{label} pair {pair!r} names unknown worlds")
-            out.add((a, b))
-        return tuple(sorted(out))
+            succ[idx[a]] |= 1 << idx[b]
+        return tuple(sorted(set(rel))), succ
+
+
+# the last frame built, under the snapshot of the arguments it was built from
+_last = (None, None)
+
+
+class KripkeModel:
+    """Finite rooted model. `prec` and `precR` are strict relations given as
+    pair collections; the valuation maps variable names to world collections.
+    Everything is normalized to sorted tuples on construction. The model
+    keeps a validated frame (worlds, root, relations and their successor
+    masks) and its valuation, also as one world mask per variable. A model
+    whose frame arguments equal, as a snapshot, the last built model's
+    shares that frame instead of validating and indexing it again."""
+
+    __slots__ = ("_frame", "val", "_val_masks")
+
+    def __init__(self, worlds, root, prec=(), precR=(), val=None):
+        global _last
+        key = (tuple(worlds), root, tuple(map(tuple, prec)), tuple(map(tuple, precR)))
+        last_key, frame = _last
+        if key != last_key:
+            frame = _Frame(*key)
+            _last = key, frame
+        idx = frame.idx
+        norm_val, masks = {}, {}
+        for var in sorted(val or {}):
+            if not isinstance(var, str) or not var:
+                raise ModelError(f"variable names are nonempty strings, got {var!r}")
+            ws = tuple(val[var])
+            mask = 0
+            for w in ws:
+                if not isinstance(w, str) or w not in idx:
+                    bad = [u for u in ws if not isinstance(u, str)] or sorted(set(ws) - idx.keys())
+                    raise ModelError(f"valuation of {var!r} names unknown world {bad[0]!r}")
+                mask |= 1 << idx[w]
+            norm_val[var], masks[var] = tuple(sorted(set(ws))), mask
+        object.__setattr__(self, "_frame", frame)
+        object.__setattr__(self, "val", norm_val)
+        object.__setattr__(self, "_val_masks", masks)
+
+    worlds = property(lambda self: self._frame.worlds)
+    root = property(lambda self: self._frame.root)
+    prec = property(lambda self: self._frame.prec)
+    precR = property(lambda self: self._frame.precR)
 
     def __setattr__(self, name, value):
         raise AttributeError("KripkeModel is immutable")
@@ -168,9 +198,9 @@ def validate_model(m: KripkeModel, a: Formula):
             if x == d and (c, y) not in rs:
                 return Violation(4, f"({c}, {y}) missing")
     if rs:
-        idx, tri, box, val = _masks(m)
+        idx, tri, box = m._frame.idx, m._frame.tri, m._frame.aux
         full = (1 << len(idx)) - 1
-        refl = _reflexive(_run(_compile(a), full, val, tri, box), tri, full)
+        refl = _reflexive(_run(_compile(a), full, m._val_masks, tri, box), tri, full)
         for x, y in m.precR:
             j = idx[y]
             below = sum(1 << c for c, succ in enumerate(tri) if succ >> j & 1)
@@ -258,8 +288,14 @@ def _box(succ, bad) -> int:
 
 
 def _two_step(succ) -> list:
-    return [reduce(int.__or__, (t for j, t in enumerate(succ) if s >> j & 1), 0)
-            for s in succ]
+    out = []
+    for s in succ:
+        two = 0
+        while s:
+            two |= succ[(s & -s).bit_length() - 1]
+            s &= s - 1
+        out.append(two)
+    return out
 
 
 def _reflexive(rows, tri, full) -> int:
@@ -287,16 +323,6 @@ def _pairs(worlds, succ) -> list:
             for y in range(len(worlds)) if s >> y & 1]
 
 
-def _masks(m: KripkeModel):
-    """m's world index, tree order, auxiliary relation and valuation."""
-    idx = {w: i for i, w in enumerate(m.worlds)}
-    tri, box = [0] * len(idx), [0] * len(idx)
-    for succ, rel in ((tri, m.prec), (box, m.precR)):
-        for x, y in rel:
-            succ[idx[x]] |= 1 << idx[y]
-    return idx, tri, box, {var: sum(1 << idx[w] for w in ws) for var, ws in m.val.items()}
-
-
 def _rows_for(m: KripkeModel, a: Formula, semantics: str) -> list:
     """The masks of a's program on m under the chosen reading."""
     if semantics == GLT:
@@ -304,14 +330,18 @@ def _rows_for(m: KripkeModel, a: Formula, semantics: str) -> list:
         if not isinstance(verdict, Ok):
             raise SemanticsMismatch(
                 f"model fails condition {verdict.condition}: {verdict.detail}")
-    idx, tri, box, val = _masks(m)
+    f = m._frame
     if semantics == GL:
-        tri, box = None, tri
+        tri, box = None, f.tri
     elif semantics == GL2:
-        box = _two_step(tri)
-    elif semantics != GLT:
+        if f.two is None:
+            f.two = _two_step(f.tri)
+        tri, box = f.tri, f.two
+    elif semantics == GLT:
+        tri, box = f.tri, f.aux
+    else:
         raise SemanticsMismatch(f"unknown semantics {semantics!r}")
-    return _run(_compile(a), (1 << len(idx)) - 1, val, tri, box)
+    return _run(_compile(a), (1 << len(f.worlds)) - 1, m._val_masks, tri, box)
 
 
 def eval_formula(m: KripkeModel, w, a: Formula, semantics: str) -> bool:

@@ -175,6 +175,28 @@ class TestModal:
         path.write_text(json.dumps({"worlds": ["a"]}))
         assert run(capsys, "modal", "checkmodel", str(path), "p")[0] == 4
 
+    @pytest.mark.parametrize("field, value", [
+        ("worlds", ["a", ["x"]]),
+        ("root", {}),
+        ("prec", [[["a"], "b"]]),
+        ("precR", [["a", {}]]),
+        ("val", {"p": [["b"]]}),
+        ("val", {"p": ["b", 3]}),
+    ])
+    def test_malformed_model_entry_is_one_exit_4(self, capsys, tmp_path, field, value):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(VALID_MODEL, **{field: value})))
+        for args in (("modal", "checkmodel", str(path), "p"),
+                     ("modal", "eval", str(path), "a", "p", "--sem", "glt")):
+            code, out, err = run(capsys, *args)
+            assert (code, out) == (4, "")
+            assert err.startswith("error: invalid model file: ") and err.count("\n") == 1
+            code, out, err = run(capsys, "--json", *args)
+            assert code == 4 and out.count("\n") == 1
+            record = json.loads(out)
+            assert record["exit"] == 4
+            assert record["error"].startswith("invalid model file: ")
+
     def test_checkmodel_ok(self, capsys, model_file):
         assert run(capsys, "modal", "checkmodel", model_file, "p") == (0, "OK\n", "")
 

@@ -3,7 +3,24 @@ import random
 
 import pytest
 
-from slowprov.modal.formula import Box, Diamond, Nabla, Not, Triangle, Var, parse_formula
+from slowprov.modal import kripke
+from slowprov.modal.formula import (
+    And,
+    Bot,
+    Box,
+    Diamond,
+    Iff,
+    Implies,
+    Nabla,
+    Not,
+    Or,
+    Top,
+    Triangle,
+    Var,
+    modal_depth,
+    parse_formula,
+    variables_of,
+)
 from slowprov.modal.kripke import (
     GL,
     GL2,
@@ -21,6 +38,7 @@ from slowprov.modal.kripke import (
     valid_on_model,
     validate_model,
 )
+from slowprov.oracles import TreeFrame, enumerate_a_sound_extensions, enumerate_tree_frames
 from modal_corpus import random_formula
 
 CHAIN2 = KripkeModel(worlds=("a", "b"), root="a", prec=(("a", "b"),),
@@ -39,17 +57,120 @@ def test_model_normalization():
         m.root = "b"
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(worlds=(), root="a"),
-    dict(worlds=("a", "a"), root="a"),
-    dict(worlds=("a",), root="b"),
-    dict(worlds=("a",), root="a", prec=(("a", "z"),)),
-    dict(worlds=("a",), root="a", val={"p": ("z",)}),
-    dict(worlds=("a", 3), root="a"),
-])
+# Each malformed argument set, with a well-formed one over a nearly identical
+# frame. The unhashable entries once ended in TypeError, not ModelError.
+SHAPE_ERRORS = [
+    (dict(worlds=(), root="a"), dict(worlds=("a",), root="a")),
+    (dict(worlds=("a", "a"), root="a"), dict(worlds=("a", "b"), root="a")),
+    (dict(worlds=("a",), root="b"), dict(worlds=("a", "b"), root="b")),
+    (dict(worlds=("a",), root="a", prec=(("a", "z"),)),
+     dict(worlds=("a", "z"), root="a", prec=(("a", "z"),))),
+    (dict(worlds=("a",), root="a", val={"p": ("z",)}),
+     dict(worlds=("a",), root="a", val={"p": ("a",)})),
+    (dict(worlds=("a", 3), root="a"), dict(worlds=("a", "3"), root="a")),
+    (dict(worlds=("a", ["x"]), root="a"), dict(worlds=("a", "x"), root="a")),
+    (dict(worlds=("a",), root={}), dict(worlds=("a",), root="a")),
+    (dict(worlds=("a",), root="a", prec=((["a"], "a"),)),
+     dict(worlds=("a",), root="a", prec=(("a", "a"),))),
+    (dict(worlds=("a",), root="a", precR=(("a", {}),)),
+     dict(worlds=("a",), root="a", precR=(("a", "a"),))),
+    (dict(worlds=("a",), root="a", val={"p": [["a"]]}),
+     dict(worlds=("a",), root="a", val={"p": ["a"]})),
+    (dict(worlds=("a",), root="a", val={"p": ["a", 3]}),
+     dict(worlds=("a",), root="a", val={"p": ["a"]})),
+]
+
+
+@pytest.mark.parametrize("kwargs", [bad for bad, _ in SHAPE_ERRORS])
 def test_model_shape_errors(kwargs):
     with pytest.raises(ModelError):
         KripkeModel(**kwargs)
+
+
+def _forget_last_frame(monkeypatch):
+    monkeypatch.setattr(kripke, "_last", (None, None))
+
+
+@pytest.mark.parametrize("bad, good", SHAPE_ERRORS)
+def test_shape_errors_after_a_model_over_a_near_frame(monkeypatch, bad, good):
+    _forget_last_frame(monkeypatch)
+    with pytest.raises(ModelError) as alone:
+        KripkeModel(**bad)
+    KripkeModel(**good)
+    with pytest.raises(ModelError) as after:
+        KripkeModel(**bad)
+    assert str(after.value) == str(alone.value)
+
+
+def test_frame_memo_sees_arguments_changed_in_place():
+    worlds, prec = ["a", "b"], [["a", "b"]]
+    assert KripkeModel(worlds, "a", prec).prec == (("a", "b"),)
+    prec[0][1] = "a"
+    assert KripkeModel(worlds, "a", prec).prec == (("a", "a"),)
+    worlds[1] = "c"
+    with pytest.raises(ModelError, match="prec pair"):
+        KripkeModel(worlds, "a", [["a", "b"]])
+
+
+def test_frame_memo_hit_equals_a_fresh_build(monkeypatch):
+    args = (("w0", "w1", "w2"), "w0", (("w0", "w1"), ("w0", "w2"), ("w1", "w2")),
+            (("w0", "w2"),))
+    KripkeModel(*args, val={"q": ("w1",)})
+    hit = KripkeModel(*args, val={"p": ("w2", "w1")})
+    _forget_last_frame(monkeypatch)
+    fresh = KripkeModel(*args, val={"p": ["w1", "w2"]})
+    assert hit._frame is not fresh._frame
+    assert hit == fresh
+    assert repr(hit) == repr(fresh)
+    assert model_to_dict(hit) == model_to_dict(fresh)
+    a = parse_formula("[]p -> [.][.]p")
+    for sem in (GL2, GLT):
+        assert first_failing_world(hit, a, sem) == first_failing_world(fresh, a, sem)
+
+
+def _counting_frames(monkeypatch):
+    """The snapshot every frame is built from, in order of building."""
+    built, real = [], kripke._Frame
+
+    def frame(*snapshot):
+        built.append(snapshot)
+        return real(*snapshot)
+    monkeypatch.setattr(kripke, "_Frame", frame)
+    _forget_last_frame(monkeypatch)
+    return built
+
+
+def test_a_sweep_builds_its_frame_once(monkeypatch):
+    built = _counting_frames(monkeypatch)
+    frame = TreeFrame(4, (0, 1, 1))
+    names = frame.world_names()
+    prec = [(names[x], names[y]) for x, y in frame.ancestor_pairs()]
+    a = parse_formula("[]([]p -> p) -> []q")
+    failing = 0
+    for mask in range(1 << 8):
+        val = {v: [w for j, w in enumerate(names) if mask >> (i * 4 + j) & 1]
+               for i, v in enumerate("pq")}
+        m = KripkeModel(names, names[0], prec, (), val)
+        failing += first_failing_world(m, a, GL) is not None
+        failing += first_failing_world(m, a, GL2) is not None
+    assert failing > 0
+    assert built == [(names, "w0", tuple(prec), ())]
+
+
+def test_extensions_build_one_frame_per_relation(monkeypatch):
+    built = _counting_frames(monkeypatch)
+    validated = []
+    real = kripke.validate_model
+    monkeypatch.setattr(kripke, "validate_model",
+                        lambda m, a: validated.append(m.precR) or real(m, a))
+    a = parse_formula("[.]p -> []q")
+    for frame in enumerate_tree_frames(3):
+        del built[:], validated[:]
+        list(enumerate_a_sound_extensions(frame, a, 2))
+        relations = [snapshot[3] for snapshot in built]
+        assert len(set(relations)) == len(relations) > 1
+        assert set(validated) == set(relations)
+        assert len(validated) == len(relations) << 6
 
 
 def test_validate_chain_is_sound_for_anything():
@@ -208,3 +329,83 @@ def test_random_model_generator_is_deterministic():
     m1 = random_a_sound_model(random.Random(5), a)
     m2 = random_a_sound_model(random.Random(5), a)
     assert m1 == m2
+
+
+def _reference_holds(m, semantics):
+    """Truth of a formula at a world, by recursion on the formula and the
+    definitions of the readings: no masks, no compiled programs."""
+    tree = {w: [v for v in m.worlds if (w, v) in m.prec] for w in m.worlds}
+    if semantics == GL:
+        box = tree
+    elif semantics == GL2:
+        box = {w: [v for v in m.worlds if any(v in tree[u] for u in tree[w])]
+               for w in m.worlds}
+    else:
+        box = {w: [v for v in m.worlds if (w, v) in m.precR] for w in m.worlds}
+
+    def holds(w, f):
+        t = type(f)
+        if t is Var:
+            return w in m.val.get(f.name, ())
+        if t in (Top, Bot):
+            return t is Top
+        if t is Not:
+            return not holds(w, f.body)
+        if t in (Box, Diamond, Triangle, Nabla):
+            seen = [holds(v, f.body) for v in (box if t in (Box, Diamond) else tree)[w]]
+            return all(seen) if t in (Box, Triangle) else any(seen)
+        x, y = holds(w, f.left), holds(w, f.right)
+        return {And: x and y, Or: x or y, Implies: not x or y, Iff: x == y}[t]
+    return holds
+
+
+def _agrees_with_reference(m, a, semantics):
+    holds = _reference_holds(m, semantics)
+    truth = [holds(w, a) for w in m.worlds]
+    assert [eval_formula(m, w, a, semantics) for w in m.worlds] == truth, (m, a)
+    first = next((w for w, t in zip(m.worlds, truth) if not t), None)
+    assert first_failing_world(m, a, semantics) == first, (m, a)
+
+
+SWEEP_FORMULAS = ["[]([]p -> p) -> []p", "[]p -> [][]p", "[]p <-> [.][.]p", "[.]p -> []p"]
+
+
+def _seeded_formulas(seed, box_only, count=6):
+    """Seeded random ASTs of depth 4 over two variables, with nested modalities."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        f = random_formula(rng, depth=4, box_only=box_only)
+        if len(variables_of(f)) == 2 and modal_depth(f) >= 2 and f not in out:
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("semantics", [GL, GL2])
+def test_evaluation_matches_a_recursive_reference(semantics):
+    formulas = [parse_formula(t) for t in SWEEP_FORMULAS]
+    if semantics == GL:
+        formulas = formulas[:2]
+    formulas += _seeded_formulas(31, box_only=semantics == GL)
+    for size in range(1, 5):
+        for frame in enumerate_tree_frames(size):
+            names = frame.world_names()
+            prec = tuple((names[x], names[y]) for x, y in frame.ancestor_pairs())
+            for a in formulas:
+                vs = sorted(variables_of(a))
+                for mask in range(1 << len(vs) * size):
+                    val = {v: [w for j, w in enumerate(names) if mask >> (i * size + j) & 1]
+                           for i, v in enumerate(vs)}
+                    _agrees_with_reference(KripkeModel(names, names[0], prec, (), val),
+                                           a, semantics)
+
+
+def test_glt_evaluation_matches_a_recursive_reference():
+    formulas = [parse_formula(t) for t in AXIOM_INSTANCES] + _seeded_formulas(32, False)
+    checked = 0
+    for size in range(1, 4):
+        for frame in enumerate_tree_frames(size):
+            for a in formulas:
+                for m in enumerate_a_sound_extensions(frame, a, 2):
+                    _agrees_with_reference(m, a, GLT)
+                    checked += bool(m.precR)
+    assert checked > 500
