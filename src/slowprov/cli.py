@@ -66,7 +66,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 @dataclass(frozen=True)
@@ -170,29 +169,19 @@ def _cmd_ord(cfg: GlobalConfig, ns) -> int:
             _emit(cfg, {"result": word}, [word])
             return 0
         op = ord_add if ns.sub == "add" else ord_mul
-        try:
-            text = render_ordinal(op(a, b))
-        except OrdinalError as e:
-            raise CliError(2, str(e))
+        text = render_ordinal(op(a, b))
         _emit(cfg, {"result": text}, [text])
         return 0
 
     if ns.sub == "fundseq":
-        lam = _parse_ord(ns.limit)
-        try:
-            text = render_ordinal(fund_seq(lam, ns.n))
-        except OrdinalError as e:
-            raise CliError(2, str(e))
+        text = render_ordinal(fund_seq(_parse_ord(ns.limit), ns.n))
         _emit(cfg, {"result": text}, [text])
         return 0
 
     # stepdown
     start = _parse_ord(ns.a)
     target = _parse_ord(ns.target) if ns.target is not None else ZERO
-    try:
-        res = stepdown_path(start, ns.n, target, ns.max_steps)
-    except OrdinalError as e:
-        raise CliError(2, str(e))
+    res = stepdown_path(start, ns.n, target, ns.max_steps)
     if isinstance(res, Reached):
         path = [_compact(o) for o in res.path]
         _emit(cfg, {"verdict": "REACHED", "steps": res.steps, "path": path},
@@ -393,8 +382,6 @@ def _cmd_iter(cfg: GlobalConfig, ns) -> int:
             _emit(cfg, {"result": word}, [word])
     except IterParseError as e:
         raise CliError(2, f"bad expression: {e}")
-    except IterError as e:
-        raise CliError(2, str(e))
     return 0
 
 
@@ -571,13 +558,14 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(ns)
         return _DISPATCH[ns.group](cfg, ns)
-    except CliError as e:
+    except (CliError, OrdinalError, IterError) as e:
+        # the kernel's and the calculus's own errors are out-of-range input
+        code = e.code if isinstance(e, CliError) else 2
         if getattr(ns, "json", False):
-            print(json.dumps({"error": e.message, "exit": e.code},
-                             sort_keys=True))
+            print(json.dumps({"error": str(e), "exit": code}, sort_keys=True))
         else:
-            print(f"error: {e.message}", file=sys.stderr)
-        return e.code
+            print(f"error: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ provability), S1 and S2 (the one- and two-fold slow variants), and R (the
 square-root variant, finite powers only). Powers compose by the addition
 law with the inner exponent first, so adjacent entries of the same
 operator always fuse. Normalization orients the known equivalences into
-rules and runs them to a fixpoint:
+rules and applies them in one pass over the stack, innermost entry first:
 
     R^(2k+m)       ->  B^k over R^m          (m is 0 or 1)
     S2^(w*q+m)     ->  S2^m over B^q         (q, m finite, q >= 1)
@@ -16,6 +16,10 @@ the power uses the addition law w*q+m = w*q + m with w*q innermost, so
 the derived boxes sit under the leftover S2^m, not above it. Entailment
 compares normal forms positionwise and answers Yes or Unknown only; the
 rule set is not complete, so a missing derivation never justifies No.
+
+An entry is rewritten until no rule fires, and fused with the kept entry
+below it, before it is kept. The pass ends: a rewrite leaves only entries
+that no rule rewrites, and each fusion removes an entry.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .ordinal import (
     Cmp,
     ONE,
     Ordinal,
+    OrdinalError,
     ZERO,
     add,
     compare,
@@ -81,11 +86,7 @@ class IterExpr:
 
 
 def _is_finite(x: Ordinal) -> bool:
-    return not x.eps and all(e == ZERO for e, _ in x.terms)
-
-
-def _finite_value(x: Ordinal) -> int:
-    return x.terms[0][1] if x.terms else 0
+    return x is ZERO or x.lead_exp is ZERO
 
 
 def _merged(stack) -> tuple:
@@ -128,7 +129,7 @@ def parse_iter(text: str) -> IterExpr:
         if exptext:
             try:
                 exp = parse_ordinal(exptext)
-            except Exception as e:
+            except OrdinalError as e:
                 raise ParseError(f"bad exponent {exptext!r}: {e}", pos) from None
         else:
             exp = ONE
@@ -157,80 +158,49 @@ def render_iter(e: IterExpr) -> str:
 
 # --- normalization ----------------------------------------------------------
 
-def _split_linear(exp: Ordinal):
-    """Write exp as w*q + m with finite q >= 1, m >= 0, or return None."""
-    if exp.eps:
-        return None
-    q = m = 0
-    for e, c in exp.terms:
-        if e == ZERO:
-            m = c
-        elif e == ONE:
-            q = c
-        else:
-            return None
-    if q == 0:
-        return None
-    return q, m
-
-
 def _rewrite_entry(op: str, exp: Ordinal):
     """One rule application to a single entry, or None. Innermost-first."""
-    if op == "R":
-        n = _finite_value(exp)
-        if n >= 2:
-            out = []
-            if n % 2:
-                out.append(("R", ONE))
-            out.append(("B", from_int(n // 2)))
-            return out
-    elif op == "S2":
-        split = _split_linear(exp)
-        if split is not None:
-            q, m = split
-            out = [("B", from_int(q))]
-            if m:
-                out.append(("S2", from_int(m)))
-            return out
-    elif op == "S1":
-        if exp.eps:
-            return [("B", ONE)]
+    if op == "R" and exp.coeff >= 2:
+        boxes = ("B", from_int(exp.coeff // 2))
+        return [("R", ONE), boxes] if exp.coeff % 2 else [boxes]
+    if op == "S2" and exp.lead_exp is ONE:
+        # exp is w*q + m: q is its leading coefficient, m its finite last term
+        boxes = ("B", from_int(exp.lead_coeff))
+        return [boxes, ("S2", from_int(exp.coeff))] if exp.exp is ZERO else [boxes]
+    if op == "S1" and exp.eps:
+        return [("B", ONE)]
     return None
 
 
 def normalize(e: IterExpr, collapse_under_box: bool = False) -> IterExpr:
-    """Run the directed rules to their fixpoint.
+    """Apply the directed rules in one pass, innermost entry first.
+
+    Each entry is rewritten until no rule fires, fused with the kept entry
+    below it when the two share an operator, and only then kept; a rewrite
+    or a fusion sends its result back through these steps. The pass ends:
+    a rewrite leaves entries that no rule rewrites, so only a fused entry
+    can need one again, and each fusion or erasure removes an entry.
 
     collapse_under_box additionally erases an S1 power that sits directly
     under a B (sound for powers below epsilon_0, but it inspects the
     neighboring entry, so it is opt-in).
     """
-    stack = list(e.stack)
-    for _ in range(200):
-        progressed = False
-        rewritten = []
-        for op, exp in stack:
-            out = _rewrite_entry(op, exp)
-            if out is None:
-                rewritten.append((op, exp))
-            else:
-                rewritten.extend(out)
-                progressed = True
-        if collapse_under_box:
-            kept = []
-            for i, (op, exp) in enumerate(rewritten):
-                nxt = rewritten[i + 1] if i + 1 < len(rewritten) else None
-                if (op == "S1" and not exp.eps and nxt is not None
-                        and nxt[0] == "B"):
-                    progressed = True
-                    continue
-                kept.append((op, exp))
-            rewritten = kept
-        merged = _merged(tuple(rewritten))
-        if not progressed and merged == tuple(stack):
-            return IterExpr(e.atom, merged)
-        stack = list(merged)
-    raise IterError("normalization did not stabilize")
+    todo = list(reversed(e.stack))
+    kept = []
+    while todo:
+        op, exp = todo.pop()
+        out = _rewrite_entry(op, exp)
+        if out is not None:
+            todo.extend(reversed(out))
+        elif kept and kept[-1][0] == op:
+            todo.extend(_merged((kept.pop(), (op, exp))))
+        elif collapse_under_box and op == "B" and kept and kept[-1][0] == "S1":
+            # a kept S1 power is below epsilon_0: S1^e0 was rewritten to B
+            kept.pop()
+            todo.append((op, exp))
+        else:
+            kept.append((op, exp))
+    return IterExpr(e.atom, tuple(kept))
 
 
 # --- entailment -------------------------------------------------------------

@@ -25,6 +25,7 @@ depth exhausts Python's recursion limit.
 
 from __future__ import annotations
 
+import sys
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -497,7 +498,12 @@ class _Scanner:
         digits = self.text[start:self.pos]
         if digits[0] == "0":
             raise ParseError("numbers start from 1 here; 0 is a whole ordinal only", start)
-        return int(digits)
+        try:
+            return int(digits)
+        except ValueError:
+            # int() refuses a text past sys.get_int_max_str_digits()
+            raise ParseError(f"a number of more than {sys.get_int_max_str_digits()} "
+                             "digits cannot be read", start) from None
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -636,68 +642,74 @@ def render_ordinal(a: Ordinal) -> str:
     follows the number of distinct nodes, not the length of the output.
     A node of at most _KEPT characters but the one asked for keeps its text,
     so a descent's element, whose prefix kept its text, costs O(1) work.
+    A coefficient past Python's int-to-string limit raises OrdinalError.
     """
-    if a is EPSILON0:
-        return "e0"
-    if a is ZERO:
-        return "0"
-    # exponents a search gave up on: the stack renders them without searching
-    failed = set()
-    text = a._text
-    if text is None:
-        text = _short_text(a, _KEPT, failed)
-        a._text = None
-    if text is not None:
-        return text
-    out = []
-    texts = {}      # node -> text, for nodes met under two nodes
-    met = {}        # node -> the node it was first met under
-    starts = {}     # node -> where in out a node met twice begins
-    # the root counts as met under ZERO, which no other node is met under
-    stack = [(a, ZERO)]
-    while stack:
-        item = stack.pop()
-        if item.__class__ is str:
-            out.append(item)
-            continue
-        x, under = item
-        if under is None:
-            # the end of a node met twice: join its pieces and keep them
-            start = starts.pop(x)
-            text = "".join(out[start:])
-            del out[start:]
-            out.append(text)
-            texts[x] = text
-            continue
-        text = texts.get(x)
+    try:
+        if a is EPSILON0:
+            return "e0"
+        if a is ZERO:
+            return "0"
+        # exponents a search gave up on: the stack renders them without searching
+        failed = set()
+        text = a._text
+        if text is None:
+            text = _short_text(a, _KEPT, failed)
+            a._text = None
         if text is not None:
-            out.append(text)
-            continue
-        if met.setdefault(x, under) is not under:
-            starts[x] = len(out)
-            stack.append((x, None))
-        # push x's terms from the last one back, so that they pop in order
-        node = x
-        while True:
-            exp, coeff = node._exp, node._coeff
-            term = _term_text(exp, coeff)
-            if term is not None:
-                stack.append(term)
-            else:
-                stack.append(")" if coeff == 1 else f")*{coeff}")
-                text = exp._text or exp not in failed and _short_text(exp, _KEPT, failed)
-                stack.append(text or (exp, node))
-                stack.append("w^(")
-            prefix = node._prefix
-            if prefix is ZERO:
-                break
-            stack.append(" + ")
-            text = prefix._text or texts.get(prefix)
+            return text
+        out = []
+        texts = {}      # node -> text, for nodes met under two nodes
+        met = {}        # node -> the node it was first met under
+        starts = {}     # node -> where in out a node met twice begins
+        # the root counts as met under ZERO, which no other node is met under
+        stack = [(a, ZERO)]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            x, under = item
+            if under is None:
+                # the end of a node met twice: join its pieces and keep them
+                start = starts.pop(x)
+                text = "".join(out[start:])
+                del out[start:]
+                out.append(text)
+                texts[x] = text
+                continue
+            text = texts.get(x)
             if text is not None:
-                stack.append(text)
-                break
-            if met.setdefault(prefix, node) is not node:
-                stack.append((prefix, node))
-                break
-            node = prefix
-    return "".join(out)
+                out.append(text)
+                continue
+            if met.setdefault(x, under) is not under:
+                starts[x] = len(out)
+                stack.append((x, None))
+            # push x's terms from the last one back, so that they pop in order
+            node = x
+            while True:
+                exp, coeff = node._exp, node._coeff
+                term = _term_text(exp, coeff)
+                if term is not None:
+                    stack.append(term)
+                else:
+                    stack.append(")" if coeff == 1 else f")*{coeff}")
+                    text = exp._text or exp not in failed and _short_text(exp, _KEPT, failed)
+                    stack.append(text or (exp, node))
+                    stack.append("w^(")
+                prefix = node._prefix
+                if prefix is ZERO:
+                    break
+                stack.append(" + ")
+                text = prefix._text or texts.get(prefix)
+                if text is not None:
+                    stack.append(text)
+                    break
+                if met.setdefault(prefix, node) is not node:
+                    stack.append((prefix, node))
+                    break
+                node = prefix
+        return "".join(out)
+    except ValueError:
+        # str() refuses an int past sys.get_int_max_str_digits()
+        raise OrdinalError(f"a coefficient of more than {sys.get_int_max_str_digits()} "
+                           "digits cannot be printed") from None

@@ -409,6 +409,28 @@ class TestJsonMode:
         assert self.single_record(capsys, "iter", "entails", "B p", "B^w p")[1] == \
             {"result": "YES"}
 
+    # Python reads and prints ints of at most 4,300 digits; these once ended
+    # in a ValueError traceback and exit 1
+    READ, PRINT = "a number of more than 4300 digits cannot be read", \
+        "a coefficient of more than 4300 digits cannot be printed"
+
+    @pytest.mark.parametrize("args, message", [
+        (("ord", "cmp", "w*" + "9" * 4301, "w"), READ),
+        (("fgh", "eval", "w^" + "1" * 5000, "2"), READ),
+        (("ord", "mul", "9" * 3000, "9" * 3000), PRINT),
+        (("ord", "fundseq", "w", "9" * 4300), PRINT),
+        (("iter", "normalize", f"B^w*{'9' * 4300} B^w*{'9' * 4300} p"), PRINT),
+        (("ord", "stepdown", "w", "9" * 4300, "--target", "9" * 4300), PRINT),
+    ], ids=["parse-cmp", "parse-fgh", "render-mul", "render-fundseq", "render-iter",
+            "render-stepdown"])
+    def test_number_past_the_digit_limit_is_exit_2(self, capsys, args, message):
+        code, rec = self.single_record(capsys, *args)
+        assert code == 2 and set(rec) == {"error", "exit"} and rec["exit"] == 2
+        assert message in rec["error"]
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: ") and message in err
+
 
 class TestUsageErrorsWithoutJson:
     def test_usage_text_on_stderr(self, capsys):

@@ -178,8 +178,8 @@ def test_roundtrip_parse_render():
         assert parse_iter(render_iter(n)) == n
 
 
-def _stepwise_normalize(e: IterExpr) -> IterExpr:
-    """Different strategy: one innermost rewrite at a time, merging eagerly."""
+def _stepwise_normalize(e: IterExpr, collapse_under_box: bool = False) -> IterExpr:
+    """Different strategy: one innermost step at a time, merging eagerly."""
     stack = list(e.stack)
     while True:
         for i, (op, exp) in enumerate(stack):
@@ -187,16 +187,38 @@ def _stepwise_normalize(e: IterExpr) -> IterExpr:
             if out is not None:
                 stack[i:i + 1] = out
                 break
+            if (collapse_under_box and op == "S1" and not exp.eps
+                    and stack[i + 1:i + 2] and stack[i + 1][0] == "B"):
+                del stack[i]
+                break
         else:
-            return IterExpr(e.atom, _merged(tuple(stack)))
+            return IterExpr(e.atom, tuple(stack))
         stack = list(_merged(tuple(stack)))
 
 
+def _outcome(normalizer, e, collapse_under_box):
+    try:
+        return normalizer(e, collapse_under_box)
+    except IterError as err:
+        return type(err), str(err)
+
+
 def test_confluence_sample():
+    # overflows included: they must match in type and message
     rng = random.Random(427)
-    for _ in range(500):
-        e = _normalizable(rng)
-        assert normalize(e) == _stepwise_normalize(e)
+    seen = set()
+    for _ in range(1500):
+        e = _parse_lenient(random_iter_text(rng))
+        if e is None:
+            continue
+        for collapse in (False, True):
+            got = _outcome(normalize, e, collapse)
+            assert got == _outcome(_stepwise_normalize, e, collapse), (render_iter(e), collapse)
+            seen.add((collapse, type(got).__name__))
+        if isinstance(got, IterExpr) and got != normalize(e):
+            seen.add("collapsed")
+    assert seen >= {(False, "IterExpr"), (True, "IterExpr"), (False, "tuple"),
+                    (True, "tuple"), "collapsed"}
 
 
 def test_addition_order_on_sampled_pairs():
