@@ -202,16 +202,25 @@ def _cmd_ord(cfg: GlobalConfig, ns) -> int:
 # fgh
 
 
+def _decimal(v: int):
+    """v in decimal; None past the cutoff or past Python's int-to-string limit."""
+    try:
+        return str(v) if v.bit_length() <= _DECIMAL_BIT_CUTOFF else None
+    except ValueError:
+        # str() refuses an int past sys.get_int_max_str_digits()
+        return None
+
+
 def _value_text(cfg: GlobalConfig, v: int) -> str:
-    if not cfg.bits and v.bit_length() <= _DECIMAL_BIT_CUTOFF:
-        return str(v)
-    return f"bits={v.bit_length()}"
+    text = None if cfg.bits else _decimal(v)
+    return f"bits={v.bit_length()}" if text is None else text
 
 
 def _value_record(cfg: GlobalConfig, v: int) -> dict:
     rec = {"verdict": "VALUE", "bits": v.bit_length()}
-    if v.bit_length() <= _DECIMAL_BIT_CUTOFF:
-        rec["decimal"] = str(v)
+    text = _decimal(v)
+    if text is not None:
+        rec["decimal"] = text
     return rec
 
 
@@ -222,11 +231,11 @@ def _emit_eval_result(cfg: GlobalConfig, res) -> int:
     assert isinstance(res, BudgetExceeded)
     # largest_intermediate_bit_length is the widest value built or refused;
     # when the successor guard stops the run it is only a lower bound on the
-    # refused width (the bit cap plus one). A width past the decimal cutoff,
-    # reachable only under a huge --bitcap, falls back to its own bit length
-    # instead of serializing the raw integer.
+    # refused width (the bit cap plus one). A width that does not print in
+    # decimal, reachable only under a huge --bitcap, falls back to its own
+    # bit length instead of serializing the raw integer.
     largest = res.largest_intermediate_bit_length
-    if largest.bit_length() <= _DECIMAL_BIT_CUTOFF:
+    if _decimal(largest) is not None:
         largest_field = largest
     else:
         largest_field = f"bits={largest.bit_length()}"

@@ -7,8 +7,9 @@ same structure serves three readings: the one-modality reading interprets
 over the auxiliary relation, subject to the five soundness conditions below;
 the composed reading interprets `[]` over two-step reachability in the tree
 order and ignores the auxiliary relation entirely. Evaluation reads world
-masks: successor masks kept on the model's frame, built once and shared by
-the models built one after another over it, and one mask per variable.
+masks: one per variable, the valuation's only encoding, and the successor
+masks of the model's frame. A frame is shared by the models built one after
+another over it, and decides once the four conditions that read only it.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ SEMANTICS = (GL, GLT, GL2)
 
 
 class _Frame:
-    """A validated frame: worlds, root, sorted pair tuples, the world index, and
-    the successor masks of prec (tri), precR (aux) and GL2's two steps (lazy)."""
+    """A validated frame: worlds, root, sorted pair tuples, the world index, the
+    successor masks of prec (tri) and precR (aux); and, once first needed, GL2's
+    two steps, the verdict on conditions 1-4 and the predecessor masks (pred)."""
 
-    __slots__ = ("worlds", "root", "prec", "precR", "idx", "tri", "aux", "two")
+    __slots__ = ("worlds", "root", "prec", "precR", "idx", "tri", "aux", "two", "pred", "verdict")
 
     def __init__(self, worlds, root, prec, precR):
         if not worlds:
@@ -67,7 +69,7 @@ class _Frame:
             raise ModelError("duplicate world names")
         if not isinstance(root, str) or root not in idx:
             raise ModelError(f"root {root!r} is not a world")
-        self.worlds, self.root, self.idx, self.two = worlds, root, idx, None
+        self.worlds, self.root, self.idx, self.two, self.verdict = worlds, root, idx, None, None
         self.prec, self.tri = self._pairs(prec, idx, "prec")
         self.precR, self.aux = self._pairs(precR, idx, "precR")
 
@@ -91,13 +93,13 @@ _last = (None, None)
 class KripkeModel:
     """Finite rooted model. `prec` and `precR` are strict relations given as
     pair collections; the valuation maps variable names to world collections.
-    Everything is normalized to sorted tuples on construction. The model
-    keeps a validated frame (worlds, root, relations and their successor
-    masks) and its valuation, also as one world mask per variable. A model
-    whose frame arguments equal, as a snapshot, the last built model's
-    shares that frame instead of validating and indexing it again."""
+    Everything reads back normalized to sorted tuples. The model keeps a
+    validated frame (worlds, root, relations and their successor masks) and
+    its valuation as one world mask per variable. A model whose frame
+    arguments equal, as a snapshot, the last built model's shares that frame
+    instead of validating and indexing it again."""
 
-    __slots__ = ("_frame", "val", "_val_masks")
+    __slots__ = ("_frame", "_val_masks")
 
     def __init__(self, worlds, root, prec=(), precR=(), val=None):
         global _last
@@ -107,7 +109,7 @@ class KripkeModel:
             frame = _Frame(*key)
             _last = key, frame
         idx = frame.idx
-        norm_val, masks = {}, {}
+        masks = {}
         for var in sorted(val or {}):
             if not isinstance(var, str) or not var:
                 raise ModelError(f"variable names are nonempty strings, got {var!r}")
@@ -118,15 +120,17 @@ class KripkeModel:
                     bad = [u for u in ws if not isinstance(u, str)] or sorted(set(ws) - idx.keys())
                     raise ModelError(f"valuation of {var!r} names unknown world {bad[0]!r}")
                 mask |= 1 << idx[w]
-            norm_val[var], masks[var] = tuple(sorted(set(ws))), mask
+            masks[var] = mask
         object.__setattr__(self, "_frame", frame)
-        object.__setattr__(self, "val", norm_val)
         object.__setattr__(self, "_val_masks", masks)
 
     worlds = property(lambda self: self._frame.worlds)
     root = property(lambda self: self._frame.root)
     prec = property(lambda self: self._frame.prec)
     precR = property(lambda self: self._frame.precR)
+    val = property(lambda self: {
+        var: tuple(sorted(w for i, w in enumerate(self.worlds) if mask >> i & 1))
+        for var, mask in self._val_masks.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("KripkeModel is immutable")
@@ -167,46 +171,42 @@ def validate_model(m: KripkeModel, a: Formula):
     5. every auxiliary pair has a witness at or below its target at which
        [.]B -> B holds for each subformula B of the formula under test.
     """
-    ps = set(m.prec)
-    for w in m.worlds:
-        if (w, w) in ps:
-            return Violation(1, f"{w} precedes itself")
-    for a1, b1 in m.prec:
-        for c, d in m.prec:
-            if c == b1 and (a1, d) not in ps:
-                return Violation(1, f"missing transitive pair ({a1}, {d})")
-    for w in m.worlds:
-        if w == m.root:
-            continue
-        if (m.root, w) not in ps:
-            return Violation(1, f"root does not reach {w}")
-        preds = [u for u in m.worlds if (u, w) in ps]
-        immediate = [u for u in preds
-                     if not any((u, v) in ps and (v, w) in ps for v in preds)]
-        if len(immediate) != 1:
-            return Violation(1, f"{w} has {len(immediate)} immediate predecessors")
-    rs = set(m.precR)
-    for pair in m.precR:
-        if pair not in ps:
-            return Violation(2, f"auxiliary pair {pair} outside the tree order")
-    for x, y in m.prec:
-        for c, d in m.precR:
-            if c == y and (x, d) not in rs:
-                return Violation(3, f"({x}, {d}) missing")
-    for c, d in m.precR:
-        for x, y in m.prec:
-            if x == d and (c, y) not in rs:
-                return Violation(4, f"({c}, {y}) missing")
-    if rs:
-        idx, tri, box = m._frame.idx, m._frame.tri, m._frame.aux
-        full = (1 << len(idx)) - 1
-        refl = _reflexive(_run(_compile(a), full, m._val_masks, tri, box), tri, full)
-        for x, y in m.precR:
-            j = idx[y]
-            below = sum(1 << c for c, succ in enumerate(tri) if succ >> j & 1)
-            if not box[idx[x]] & (below | 1 << j) & refl:
-                return Violation(5, f"no reflexive witness for ({x}, {y})")
-    return Ok()
+    f = m._frame
+    f.verdict = f.verdict or next(_frame_violations(f), Ok())
+    if not isinstance(f.verdict, Ok) or not f.precR:
+        return f.verdict
+    full, idx = (1 << len(f.worlds)) - 1, f.idx
+    refl = _reflexive(_run(_compile(a), full, m._val_masks, f.tri, f.aux), f.tri, full)
+    return next((Violation(5, f"no reflexive witness for ({x}, {y})") for x, y in f.precR
+                 if not f.aux[idx[x]] & (f.pred[idx[y]] | 1 << idx[y]) & refl), f.verdict)
+
+
+def _frame_violations(f: _Frame):
+    """f's failures of conditions 1-4 in validate_model's order, one mask test
+    a world or a sorted pair; first sets f.pred, the predecessor masks."""
+    ws, idx, tri, aux, n = f.worlds, f.idx, f.tri, f.aux, len(f.worlds)
+    f.pred = [sum(1 << u for u, s in enumerate(tri) if s >> j & 1) for j in range(n)]
+    yield from (Violation(1, f"{w} precedes itself") for i, w in enumerate(ws) if tri[i] >> i & 1)
+    yield from _gaps(f, 1, "missing transitive pair ({}, {})", f.prec, tri, tri)
+    for i, w in enumerate(ws):
+        if w != f.root and not tri[idx[f.root]] >> i & 1:
+            yield Violation(1, f"root does not reach {w}")
+        immediate = sum(not tri[u] & f.pred[i] for u in range(n) if f.pred[i] >> u & 1)
+        if w != f.root and immediate != 1:
+            yield Violation(1, f"{w} has {immediate} immediate predecessors")
+    yield from (Violation(2, f"auxiliary pair {(x, y)} outside the tree order")
+                for x, y in f.precR if not tri[idx[x]] >> idx[y] & 1)
+    yield from _gaps(f, 3, "({}, {}) missing", f.prec, aux, aux)
+    yield from _gaps(f, 4, "({}, {}) missing", f.precR, tri, aux)
+
+
+def _gaps(f: _Frame, condition, text, pairs, step, rel):
+    """A violation at each (x, y) of pairs where y steps to z not in rel[x], naming the least z."""
+    for x, y in pairs:
+        missing = step[f.idx[y]] & ~rel[f.idx[x]]
+        if missing:
+            yield Violation(condition, text.format(
+                x, min(w for i, w in enumerate(f.worlds) if missing >> i & 1)))
 
 
 # --- evaluation on world masks ----------------------------------------------

@@ -575,6 +575,16 @@ def test_cli_import_loads_no_modal_engine():
     assert "'slowprov.modal.decide'" in loaded and "oracles" not in loaded
 
 
+def test_value_past_a_lowered_int_digit_limit_prints_its_bit_length():
+    # F_2(2200) has 2213 bits and 667 digits, under the decimal cutoff but
+    # past a 640-digit int-to-string limit; this once ended in a ValueError
+    # traceback and exit 1
+    args = ("-m", "slowprov.cli", "fgh", "eval", "2", "2200")
+    lines = run_fresh(*args[:2], "--json", *args[2:], PYTHONINTMAXSTRDIGITS="640").splitlines()
+    assert [json.loads(line) for line in lines] == [{"bits": 2213, "verdict": "VALUE"}]
+    assert run_fresh(*args, PYTHONINTMAXSTRDIGITS="640") == "bits=2213\n"
+
+
 # the shared truth masks of the subformulas of seeded random formulas, four
 # formulas at a time, and prove() on each under each system; argv[1] is the
 # tests directory

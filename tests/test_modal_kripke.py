@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,7 @@ from slowprov.modal.formula import (
     Var,
     modal_depth,
     parse_formula,
+    subformulas,
     variables_of,
 )
 from slowprov.modal.kripke import (
@@ -55,6 +57,13 @@ def test_model_normalization():
     assert m.val["p"] == ("b",)
     with pytest.raises(AttributeError):
         m.root = "b"
+    m = KripkeModel(worlds=("b", "a"), root="a", prec=[("a", "b")],
+                    val={"p": ["b", "a", "b"], "q": []})
+    assert m.val == {"p": ("a", "b"), "q": ()}
+    m.val["p"] = ()
+    assert m.val["p"] == ("a", "b")
+    with pytest.raises(AttributeError):
+        m.val = {}
 
 
 # Each malformed argument set, with a well-formed one over a nearly identical
@@ -171,6 +180,129 @@ def test_extensions_build_one_frame_per_relation(monkeypatch):
         assert len(set(relations)) == len(relations) > 1
         assert set(validated) == set(relations)
         assert len(validated) == len(relations) << 6
+
+
+def test_extensions_decide_each_frame_once(monkeypatch):
+    built = _counting_frames(monkeypatch)
+    decided, real = [], kripke._frame_violations
+    monkeypatch.setattr(kripke, "_frame_violations", lambda f: decided.append(f) or real(f))
+    a = parse_formula("[.]p -> []q")
+    sound = sum(len(list(enumerate_a_sound_extensions(frame, a, 2)))
+                for frame in enumerate_tree_frames(3))
+    assert sound > 0
+    assert len(decided) == len(built) == len({id(f) for f in decided})
+
+
+def test_a_memo_hit_after_a_failing_frame_keeps_its_violation(monkeypatch):
+    a = parse_formula("[.]p")
+    for args, violation in [
+        ((("a", "b", "c"), "a", (("a", "b"), ("a", "c"), ("b", "c")), (("b", "c"),)),
+         Violation(3, "(a, c) missing")),
+        ((("a", "b"), "a", (("a", "b"), ("b", "a"))),
+         Violation(1, "missing transitive pair (a, a)")),
+    ]:
+        _forget_last_frame(monkeypatch)
+        first = KripkeModel(*args, val={"p": ("b",)})
+        assert validate_model(first, a) == violation
+        hit = KripkeModel(*args)
+        assert hit._frame is first._frame
+        assert validate_model(hit, a) == violation
+        assert validate_model(hit, parse_formula("[]p")) == violation
+
+
+def _reference_validate(m, a):
+    """The five conditions by their definitions: pair loops over sets for
+    1-4, and the recursive GLT reading for the witnesses of 5."""
+    ps = set(m.prec)
+    for w in m.worlds:
+        if (w, w) in ps:
+            return Violation(1, f"{w} precedes itself")
+    for a1, b1 in m.prec:
+        for c, d in m.prec:
+            if c == b1 and (a1, d) not in ps:
+                return Violation(1, f"missing transitive pair ({a1}, {d})")
+    for w in m.worlds:
+        if w == m.root:
+            continue
+        if (m.root, w) not in ps:
+            return Violation(1, f"root does not reach {w}")
+        preds = [u for u in m.worlds if (u, w) in ps]
+        immediate = [u for u in preds
+                     if not any((u, v) in ps and (v, w) in ps for v in preds)]
+        if len(immediate) != 1:
+            return Violation(1, f"{w} has {len(immediate)} immediate predecessors")
+    rs = set(m.precR)
+    for pair in m.precR:
+        if pair not in ps:
+            return Violation(2, f"auxiliary pair {pair} outside the tree order")
+    for x, y in m.prec:
+        for c, d in m.precR:
+            if c == y and (x, d) not in rs:
+                return Violation(3, f"({x}, {d}) missing")
+    for c, d in m.precR:
+        for x, y in m.prec:
+            if x == d and (c, y) not in rs:
+                return Violation(4, f"({c}, {y}) missing")
+    holds = _reference_holds(m, GLT)
+    reflexive = [z for z in m.worlds
+                 if all(holds(z, b) or not holds(z, Triangle(b)) for b in subformulas(a))]
+    for x, y in m.precR:
+        if not any((x, z) in rs and (z == y or (z, y) in ps) for z in reflexive):
+            return Violation(5, f"no reflexive witness for ({x}, {y})")
+    return Ok()
+
+
+def _random_validation_input(rng):
+    """Worlds named out of name order, a tree order now and then perturbed,
+    and an auxiliary relation now and then closed or given an outside pair."""
+    names = rng.sample(("a", "b", "w2", "w10", "z"), rng.randint(1, 5))
+    prec = set()
+    for child in range(1, len(names)):
+        parent = rng.randrange(child)
+        prec |= {(x, names[child]) for x, y in prec if y == names[parent]}
+        prec.add((names[parent], names[child]))
+    pairs = list(product(names, repeat=2))
+    if rng.random() < 0.4:
+        prec ^= {rng.choice(pairs)}
+    precR = {pair for pair in prec if rng.random() < 0.4}
+    while rng.random() < 0.7:
+        mixed = {(x, d) for x, y in prec for c, d in precR if c == y}
+        mixed |= {(c, y) for c, d in precR for x, y in prec if x == d}
+        if mixed <= precR:
+            break
+        precR |= mixed
+    if rng.random() < 0.2:
+        precR.add(rng.choice(pairs))
+    val = {v: [w for w in names if rng.random() < 0.6] for v in "pq"}
+    root = names[0] if rng.random() < 0.9 else rng.choice(names)
+    return KripkeModel(names, root, rng.sample(sorted(prec), len(prec)),
+                       rng.sample(sorted(precR), len(precR)), val)
+
+
+def test_validate_matches_a_pair_loop_reference():
+    formulas = [parse_formula(t) for t in ("[.]p -> []p", "[.]([.]p -> p) -> []q")]
+    checked = set()
+    for names in (("a", "b", "c"), ("w2", "w10", "a")):
+        pairs = list(product(names, repeat=2))
+        for mask in range(1 << 9):
+            prec = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            a = formulas[mask % 2]
+            for sub in range(1 << len(prec)):
+                precR = [p for i, p in enumerate(prec) if sub >> i & 1]
+                val = {"p": [w for j, w in enumerate(names) if (mask ^ sub) >> j & 1],
+                       "q": names[1:]}
+                m = KripkeModel(names, names[sub % 2], prec, precR, val)
+                verdict = validate_model(m, a)
+                assert verdict == _reference_validate(m, a), m
+                checked.add(verdict.condition if isinstance(verdict, Violation) else 0)
+    rng = random.Random(2310)
+    for _ in range(12_000):
+        m = _random_validation_input(rng)
+        a = rng.choice(formulas)
+        verdict = validate_model(m, a)
+        assert verdict == _reference_validate(m, a), m
+        checked.add(verdict.condition if isinstance(verdict, Violation) else 0)
+    assert checked == {0, 1, 2, 3, 4, 5}
 
 
 def test_validate_chain_is_sound_for_anything():
@@ -335,6 +467,7 @@ def _reference_holds(m, semantics):
     """Truth of a formula at a world, by recursion on the formula and the
     definitions of the readings: no masks, no compiled programs."""
     tree = {w: [v for v in m.worlds if (w, v) in m.prec] for w in m.worlds}
+    val = m.val
     if semantics == GL:
         box = tree
     elif semantics == GL2:
@@ -346,7 +479,7 @@ def _reference_holds(m, semantics):
     def holds(w, f):
         t = type(f)
         if t is Var:
-            return w in m.val.get(f.name, ())
+            return w in val.get(f.name, ())
         if t in (Top, Bot):
             return t is Top
         if t is Not:

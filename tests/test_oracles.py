@@ -2,6 +2,9 @@
 closed forms, the closed-form oracle certifies the evaluator, and the frame
 iterator produces the known tree counts."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from slowprov.ordinal import ONE, ZERO, from_int, parse_ordinal
@@ -95,3 +98,38 @@ def test_frame_world_names():
     f = TreeFrame(3, (0, 0))
     assert f.world_names() == ("w0", "w1", "w2")
     assert f.ancestor_pairs() == ((0, 1), (0, 2))
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slowprov"
+
+
+def _imported(source: str, package: str):
+    """Every module an import statement of source names, absolute; package is
+    the dotted name of the package the source sits in."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = ".".join(parts[:len(parts) + 1 - node.level] if node.level else [])
+            module = ".".join(filter(None, (base, node.module)))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_import_walker_resolves_relative_imports():
+    found = set(_imported("from .. import oracles\nfrom ..oracles import TreeFrame\n"
+                          "import slowprov.oracles as o\nfrom .kripke import Ok", "slowprov.modal"))
+    assert {"slowprov.oracles", "slowprov.oracles.TreeFrame", "slowprov.modal.kripke.Ok"} <= found
+
+
+def test_production_modules_do_not_import_the_oracles():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        if path.name == "oracles.py":
+            continue
+        package = ".".join(path.relative_to(PACKAGE.parent).parent.parts)
+        names = set(_imported(path.read_text(), package))
+        assert not {n for n in names if n == "slowprov.oracles"
+                    or n.startswith("slowprov.oracles.")}, path
